@@ -155,15 +155,14 @@ TRAIN_POLICY_KEYS = {
 
 
 def _load_demo_spec(path):
-    spec = _load_config(path, DEMOS_KEYS)
-    if not spec.get("tasks"):
+    spec = {**DEMOS_KEYS, **_load_config(path, DEMOS_KEYS)}
+    if not spec["tasks"]:
         raise InvalidArgumentError(
             "demos config must list tasks: [[category, part], ...]")
-    pose = env.PoseRanges(float(spec.get("pose_yaw", DEMOS_KEYS["pose_yaw"])),
-                          float(spec.get("pose_translation",
-                                         DEMOS_KEYS["pose_translation"])))
+    pose = env.PoseRanges(float(spec["pose_yaw"]),
+                          float(spec["pose_translation"]))
     return ([tuple(t) for t in spec["tasks"]],
-            int(spec.get("demos_per_task", 30)), int(spec.get("seed", 0)), pose)
+            int(spec["demos_per_task"]), int(spec["seed"]), pose)
 
 
 def build_demo_episodes(task_specs, demos_per_task, seed, pose):

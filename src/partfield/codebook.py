@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotFoundError
+from .errors import FormatError, InvalidArgumentError, NotFoundError
 from .rng import rng_from
 
 
@@ -116,10 +116,16 @@ def save_codebooks(path, codebooks: dict) -> None:
 
 
 def load_codebooks(path) -> dict:
+    """Inverse of save_codebooks; raises FormatError naming the first bad line."""
     out = {}
     with open(path) as f:
-        for line in f:
-            if line.strip():
+        for i, line in enumerate(f):
+            if not line.strip():
+                continue
+            try:
                 rec = json.loads(line)
                 out[rec["category"]] = PartNameCodebook.from_record(rec)
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise FormatError(
+                    f"bad codebook record at line {i + 1}: {exc}") from exc
     return out

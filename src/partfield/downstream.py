@@ -57,14 +57,9 @@ def agglomerative_cluster(field, target_k: int = None,
     else:
         flat = fcluster(Z, t=height_threshold, criterion="distance")
     # renumber clusters by first appearance for determinism
-    _, labels = np.unique(flat, return_inverse=True)
-    order = {}
-    out = np.empty(n, dtype=np.int64)
-    for i, c in enumerate(labels):
-        if c not in order:
-            order[c] = len(order)
-        out[i] = order[c]
-    return Segmentation(out, len(order), Z)
+    _, first, labels = np.unique(flat, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    return Segmentation(rank[labels].astype(np.int64), len(first), Z)
 
 
 def match_miou(pred, gt_labels) -> float:

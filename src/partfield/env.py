@@ -21,7 +21,7 @@ from .descriptors import extract_descriptors
 from .diffusion import (DEFAULT_EXECUTE, DEFAULT_HORIZON, Observation,
                         sample_actions)
 from .errors import InvalidArgumentError
-from .field import FeatureField, RefineNetParams, forward
+from .field import FeatureField, RefineNetParams, forward, normalize_rows
 from .geometry import (PART_VOCAB, PartLabeledCloud, RigidPose, apply_pose,
                        farthest_point_sample, generate_object,
                        rotation_about_z)
@@ -175,12 +175,7 @@ class FieldPipeline:
             if self.params is not None:
                 self._cache[key] = forward(self.params, desc)
             else:
-                norms = np.linalg.norm(desc, axis=1)
-                ok = norms > 0
-                values = np.zeros_like(desc)
-                values[ok] = desc[ok] / norms[ok, None]
-                values[~ok, 0] = 1.0
-                self._cache[key] = FeatureField(values)
+                self._cache[key] = FeatureField(normalize_rows(desc)[0])
         return self._cache[key]
 
     def part_query(self, category: str, part: str) -> np.ndarray:

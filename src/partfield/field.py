@@ -1,10 +1,10 @@
 """The per-point refinement network, its trainer, and field statistics.
 
-The network is a small feedforward stack applied independently to each
+The network is the softplus MLP of `nn` applied independently to each
 descriptor row, followed by row L2 normalization onto the unit sphere.
-Nonlinearity is the softplus smooth ramp log(1 + e^x).  Training runs
-minibatch Adam on the contrastive objective, with the gradient chained
-through the normalization Jacobian by hand (no autodiff framework).
+Training runs minibatch Adam on the contrastive objective; `backward`
+chains the loss gradient through the normalization Jacobian by hand and
+hands the rest to `nn.mlp_backward` (no autodiff framework).
 
 `depth` counts hidden layers; it is the capacity knob exposed for
 ablation studies.
@@ -19,7 +19,7 @@ from .descriptors import D_IN, extract_descriptors
 from .errors import InvalidArgumentError, NumericalError
 from .losses import (LabeledFeatureBatch, LossConfig, geometric_loss,
                      loss_gradients, sample_batch_indices, semantic_loss)
-from .nn import Adam, sigmoid, softplus
+from .nn import Adam, mlp_backward, mlp_forward
 from .rng import rng_from
 from .serialize import load_arrays, save_arrays
 
@@ -53,7 +53,6 @@ class FeatureField:
     """Unit-norm per-point embeddings, row-aligned with a source cloud."""
 
     values: np.ndarray
-    cloud: object = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -78,25 +77,14 @@ def init_refine_net(d_in: int = D_IN, hidden: int = 64, depth: int = 2,
     return RefineNetParams(weights, d_in, hidden, depth, n, seed)
 
 
-def _forward_raw(params: RefineNetParams, desc: np.ndarray):
-    """Pre-normalization outputs plus activations for backprop."""
-    a = desc
-    acts = [a]
-    for W, b in params.weights[:-1]:
-        a = softplus(a @ W + b)
-        acts.append(a)
-    W, b = params.weights[-1]
-    y = a @ W + b
-    return y, acts
-
-
-def _normalize_rows(y: np.ndarray):
+def normalize_rows(y: np.ndarray):
+    """Unit rows plus the norms and nonzero mask the backward pass needs;
+    a zero row maps to the fixed fallback e1."""
     norms = np.linalg.norm(y, axis=1)
     ok = norms > 0.0
     f = np.empty_like(y)
     f[ok] = y[ok] / norms[ok, None]
     if not np.all(ok):
-        # zero pre-normalization rows map to the fixed fallback e1
         f[~ok] = 0.0
         f[~ok, 0] = 1.0
     return f, norms, ok
@@ -108,9 +96,8 @@ def forward(params: RefineNetParams, desc: np.ndarray) -> FeatureField:
     if desc.ndim != 2 or desc.shape[1] != params.d_in:
         raise InvalidArgumentError(
             f"descriptor width {desc.shape[-1]} != d_in {params.d_in}")
-    y, _ = _forward_raw(params, desc)
-    f, _, _ = _normalize_rows(y)
-    return FeatureField(f)
+    y, _ = mlp_forward(params.weights, desc)
+    return FeatureField(normalize_rows(y)[0])
 
 
 def backward(params: RefineNetParams, desc: np.ndarray, grad_f: np.ndarray):
@@ -119,22 +106,12 @@ def backward(params: RefineNetParams, desc: np.ndarray, grad_f: np.ndarray):
     Chains through the normalization Jacobian (I - f f^T)/|y| and the
     softplus stack.  Returns gradients shaped like params.weights.
     """
-    y, acts = _forward_raw(params, desc)
-    f, norms, ok = _normalize_rows(y)
+    y, acts = mlp_forward(params.weights, desc)
+    f, norms, ok = normalize_rows(y)
     g = np.zeros_like(y)
     g[ok] = (grad_f[ok] - (np.sum(grad_f[ok] * f[ok], axis=1, keepdims=True)
                            * f[ok])) / norms[ok, None]
-    grads = [None] * len(params.weights)
-    W_last, _ = params.weights[-1]
-    grads[-1] = (acts[-1].T @ g, g.sum(axis=0))
-    upstream = g @ W_last.T
-    for i in range(len(params.weights) - 2, -1, -1):
-        W, b = params.weights[i]
-        z = acts[i] @ W + b
-        gz = upstream * sigmoid(z)
-        grads[i] = (acts[i].T @ gz, gz.sum(axis=0))
-        upstream = gz @ W.T
-    return grads
+    return mlp_backward(params.weights, acts, g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ CATEGORIES = (
 
 # microwave_with_door is held out as the unseen category for OC evaluation.
 SEEN_CATEGORIES = CATEGORIES[:4]
-UNSEEN_CATEGORIES = CATEGORIES[4:]
 
 PART_VOCAB = {
     "box_with_lid": ["body", "lid"],
@@ -473,6 +472,6 @@ def load_dataset(path) -> list:
         try:
             rec = json.loads(line)
             clouds.append(cloud_from_record(rec))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"bad dataset record at line {i + 1}: {exc}") from exc
     return clouds

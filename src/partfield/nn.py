@@ -1,5 +1,6 @@
-"""Tiny feedforward building blocks shared by the refinement network and
-the action denoiser: softplus MLP forward/backward and Adam."""
+"""Tiny feedforward building blocks: the one softplus MLP forward/backward
+in the package, run by both the refinement network (`field`) and the
+action denoiser (`diffusion`), and Adam."""
 
 import numpy as np
 

@@ -62,4 +62,7 @@ def load_arrays(path, magic: bytes):
             arrays.append(a.reshape(shape).copy())
     except (struct.error, json.JSONDecodeError, ValueError) as exc:
         raise FormatError(f"truncated or corrupt checkpoint near byte {off}") from exc
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} trailing bytes after the last "
+                          f"array at byte {off}")
     return meta, arrays

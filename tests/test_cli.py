@@ -153,6 +153,21 @@ def test_train_field_missing_data_is_data_error(tmp_path):
     assert rc == cli.EXIT_DATA
 
 
+def _bad_record_exit_code(tmp_path, **bad):
+    rec = geometry.cloud_to_record(geometry.generate_object("box_with_lid", 0, 32))
+    data = tmp_path / "bad.jsonl"
+    data.write_text(json.dumps({**rec, **bad}) + "\n")
+    return run("train-field", "--data", data, "--out", tmp_path / "f")
+
+
+def test_train_field_label_out_of_range_is_data_error(tmp_path):
+    assert _bad_record_exit_code(tmp_path, labels=[5] * 32) == cli.EXIT_DATA
+
+
+def test_train_field_non_integer_seed_is_data_error(tmp_path):
+    assert _bad_record_exit_code(tmp_path, seed="abc") == cli.EXIT_DATA
+
+
 # ---------------------------------------------------------------------------
 # train-policy and rollout
 
@@ -279,6 +294,38 @@ def test_export_ply_unknown_query_is_data_error(tmp_path, tiny_field):
              "--category", "pot_with_handle", "--instance-seed", 1,
              "--query", "wing", "--out", tmp_path / "x.ply",
              "--config", json_file(tmp_path, {"points": 128}))
+    assert rc == cli.EXIT_DATA
+
+
+def _export_with_broken_ckpt(tmp_path, tiny_field, ckpt_tail=b"",
+                             codebooks=None):
+    ckpt_dir = tmp_path / "ckpt"
+    ckpt_dir.mkdir()
+    (ckpt_dir / "field.ckpt").write_bytes(
+        (tiny_field / "field.ckpt").read_bytes() + ckpt_tail)
+    (ckpt_dir / "codebooks.jsonl").write_text(
+        codebooks if codebooks is not None
+        else (tiny_field / "codebooks.jsonl").read_text())
+    return run("export-ply", "--field-ckpt", ckpt_dir / "field.ckpt",
+               "--out", tmp_path / "x.ply",
+               "--config", json_file(tmp_path, {"points": 128}))
+
+
+def test_export_ply_checkpoint_trailing_bytes_is_data_error(tmp_path,
+                                                            tiny_field):
+    rc = _export_with_broken_ckpt(tmp_path, tiny_field, ckpt_tail=b"\0" * 8)
+    assert rc == cli.EXIT_DATA
+
+
+def test_export_ply_corrupt_codebook_line_is_data_error(tmp_path, tiny_field):
+    rc = _export_with_broken_ckpt(tmp_path, tiny_field,
+                                  codebooks="{not json\n")
+    assert rc == cli.EXIT_DATA
+
+
+def test_export_ply_codebook_missing_key_is_data_error(tmp_path, tiny_field):
+    rc = _export_with_broken_ckpt(tmp_path, tiny_field,
+                                  codebooks='{"category": "box_with_lid"}\n')
     assert rc == cli.EXIT_DATA
 
 

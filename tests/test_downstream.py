@@ -80,11 +80,17 @@ def test_clustering_height_threshold():
 def test_clustering_label_renumbering_deterministic():
     rng = np.random.default_rng(2)
     values = _unit_rows(rng, 30, 4)
-    a = agglomerative_cluster(FeatureField(values), target_k=4)
-    b = agglomerative_cluster(FeatureField(values), target_k=4)
-    np.testing.assert_array_equal(a.labels, b.labels)
-    # labels appear in first-appearance order: first point is cluster 0
-    assert a.labels[0] == 0
+    for cut in ({"target_k": 4}, {"height_threshold": 0.5}):
+        a = agglomerative_cluster(FeatureField(values), **cut)
+        b = agglomerative_cluster(FeatureField(values), **cut)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        # clusters are numbered 0, 1, 2, ... in order of first appearance
+        seen = []
+        for label in a.labels.tolist():
+            if label not in seen:
+                seen.append(label)
+        assert a.num_clusters > 1
+        assert seen == list(range(a.num_clusters)), cut
 
 
 def test_clustering_argument_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from partfield.descriptors import extract_descriptors
 from partfield.diffusion import make_schedule
 from partfield.env import (CLOUD_POINTS, MAX_STEPS, STEP_LIMIT,
                            SUCCESS_RADIUS, FieldPipeline, PoseRanges,
@@ -152,6 +153,10 @@ def test_pipeline_attach_observations():
     assert obs.field.values.shape[0] == CLOUD_POINTS
     np.testing.assert_allclose(np.linalg.norm(obs.field.values, axis=1),
                                1.0, atol=1e-9)
+    # the raw baseline is each descriptor row divided by its norm
+    desc = extract_descriptors(task.cloud, pipeline.k_neighbors)
+    np.testing.assert_array_equal(
+        obs.field.values, desc / np.linalg.norm(desc, axis=1, keepdims=True))
 
 
 def test_split_instance_disjointness():

@@ -45,6 +45,14 @@ def test_truncation(tmp_path):
         load_arrays(tmp_path / "t.bin", MAGIC)
 
 
+def test_trailing_bytes(tmp_path):
+    path = tmp_path / "a.bin"
+    save_arrays(path, MAGIC, {}, [np.zeros(4)])
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(FormatError):
+        load_arrays(path, MAGIC)
+
+
 def test_garbage(tmp_path):
     path = tmp_path / "g.bin"
     path.write_bytes(b"\x00\x01")

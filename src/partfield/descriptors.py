@@ -24,11 +24,12 @@ D_IN = 10
 
 
 def extract_descriptors(cloud: PartLabeledCloud, k_neighbors: int = 16) -> np.ndarray:
-    """(N, 10) descriptor matrix; brute-force k-NN, rows index-aligned
-    with cloud points.
+    """(N, 10) descriptor matrix, rows index-aligned with cloud points.
 
     The covariance neighborhood is the point itself plus its k nearest
-    others.
+    others, taken from the exact N x N squared-distance matrix by partial
+    selection: the neighbors and their order are those of a full stable
+    argsort of each row (ties toward the lower index).
     """
     points = cloud.points
     n = len(points)
@@ -38,8 +39,7 @@ def extract_descriptors(cloud: PartLabeledCloud, k_neighbors: int = 16) -> np.nd
     d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     np.maximum(d2, 0.0, out=d2)
     # k nearest excluding self (self sits at distance 0, column 0 after sort)
-    order = np.argsort(d2, axis=1, kind="stable")
-    knn = order[:, 1:k_neighbors + 1]
+    knn = _stable_smallest(d2, k_neighbors + 1)[:, 1:]
     knn_dist = np.sqrt(np.take_along_axis(d2, knn, axis=1))
 
     neigh = points[knn]                                # (N, k, 3)
@@ -78,3 +78,20 @@ def extract_descriptors(cloud: PartLabeledCloud, k_neighbors: int = 16) -> np.nd
     desc[:, 6] = density
     desc[:, 7:10] = centered_pts
     return desc
+
+
+def _stable_smallest(d2: np.ndarray, m: int) -> np.ndarray:
+    """np.argsort(d2, axis=1, kind="stable")[:, :m] without sorting whole rows.
+
+    argpartition picks m candidates per row and lexsort orders them by
+    value, then index.  A row whose m-th smallest value recurs outside
+    the candidates may have picked a higher index than the stable sort
+    would; such rows take the full sort.
+    """
+    cand = np.argpartition(d2, m - 1, axis=1)[:, :m]
+    vals = np.take_along_axis(d2, cand, axis=1)
+    idx = np.take_along_axis(cand, np.lexsort((cand, vals), axis=1), axis=1)
+    tied = np.count_nonzero(d2 <= vals.max(axis=1, keepdims=True), axis=1) > m
+    if tied.any():
+        idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :m]
+    return idx

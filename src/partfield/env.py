@@ -169,7 +169,9 @@ class FieldPipeline:
         self._cache = {}
 
     def field_for(self, cloud: PartLabeledCloud) -> FeatureField:
-        key = id(cloud)
+        # keyed on content: the field depends only on the points (plus k
+        # and params, fixed per pipeline), and an id() can be reused
+        key = cloud.points.tobytes()
         if key not in self._cache:
             desc = extract_descriptors(cloud, self.k_neighbors)
             if self.params is not None:

@@ -319,7 +319,12 @@ def farthest_point_sample(cloud, m: int, start: int = 0) -> np.ndarray:
     """Greedy max-min selection of m point indices, first pick = start.
 
     Ties break toward the lowest index (np.argmax convention), which
-    pins down bitwise reproducibility.
+    pins down bitwise reproducibility.  Each pick updates the running
+    min-distance in place from contiguous coordinate columns; the
+    distance is the Euclidean norm summed coordinate by coordinate, the
+    order np.linalg.norm uses below 8 columns, so the picks match the
+    norm-based loop bit for bit.  The argmax stays on true distances:
+    two squared distances can round to one square root.
     """
     points = cloud.points if isinstance(cloud, PartLabeledCloud) else np.asarray(cloud)
     n = len(points)
@@ -327,13 +332,25 @@ def farthest_point_sample(cloud, m: int, start: int = 0) -> np.ndarray:
         raise InvalidArgumentError(f"m must be in [1, {n}], got {m}")
     if not 0 <= start < n:
         raise InvalidArgumentError(f"start must be in [0, {n}), got {start}")
+    cols = np.ascontiguousarray(points.T, dtype=np.float64)
+    diff, d = np.empty(n), np.empty(n)
+
+    def distances_to(i, out):
+        np.subtract(cols[0], cols[0, i], out=out)
+        np.multiply(out, out, out=out)
+        for col in cols[1:]:
+            np.subtract(col, col[i], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(out, diff, out=out)
+        return np.sqrt(out, out=out)
+
     selected = np.empty(m, dtype=np.int64)
     selected[0] = start
-    dist = np.linalg.norm(points - points[start], axis=1)
+    dist = distances_to(start, np.empty(n))
     for i in range(1, m):
         nxt = int(np.argmax(dist))
         selected[i] = nxt
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+        np.minimum(dist, distances_to(nxt, d), out=dist)
     return selected
 
 

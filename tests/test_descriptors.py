@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from partfield import descriptors
 from partfield.descriptors import D_IN, extract_descriptors
+from partfield.env import make_task
 from partfield.errors import InvalidArgumentError
-from partfield.geometry import (PartLabeledCloud, RigidPose, apply_pose,
-                                generate_object, rotation_about_z)
+from partfield.geometry import (CATEGORIES, PartLabeledCloud, RigidPose,
+                                apply_pose, generate_object, rotation_about_z)
 
 
 def _cloud_from_points(points):
@@ -91,3 +93,44 @@ def test_k_bounds():
         extract_descriptors(cloud, 2)
     with pytest.raises(InvalidArgumentError):
         extract_descriptors(cloud, 64)
+
+
+def _full_sort(d2, m):
+    """The k-NN oracle: a full stable argsort of every distance row."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :m]
+
+
+def _assert_matches_full_sort(monkeypatch, cloud):
+    n = cloud.n_points
+    for k in (3, 16, n - 1):
+        got = extract_descriptors(cloud, k)
+        with monkeypatch.context() as patched:
+            patched.setattr(descriptors, "_stable_smallest", _full_sort)
+            want = extract_descriptors(cloud, k)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_knn_matches_full_sort_oracle(monkeypatch, category):
+    _assert_matches_full_sort(monkeypatch, generate_object(category, 11, 1024))
+
+
+def test_knn_matches_full_sort_oracle_on_task_cloud(monkeypatch):
+    # farthest-point downsampled and posed, as the policy observes it
+    cloud = make_task("drawer_cabinet", "handle", seed=2).cloud
+    _assert_matches_full_sort(monkeypatch, cloud)
+
+
+def test_knn_tie_fallback_matches_full_sort(monkeypatch):
+    # every point three times: each neighbor distance recurs, so rows tie
+    # at the selection boundary and must take the full sort
+    base = generate_object("pot_with_handle", 5, 100).points
+    cloud = _cloud_from_points(np.repeat(base, 3, axis=0))
+    sq = np.sum(cloud.points ** 2, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :]
+                    - 2.0 * (cloud.points @ cloud.points.T), 0.0)
+    boundary = np.take_along_axis(d2, _full_sort(d2, 17)[:, -1:], axis=1)
+    assert np.any(np.count_nonzero(d2 <= boundary, axis=1) > 17)
+    np.testing.assert_array_equal(descriptors._stable_smallest(d2, 17),
+                                  _full_sort(d2, 17))
+    _assert_matches_full_sort(monkeypatch, cloud)

@@ -9,6 +9,7 @@ from partfield.env import (CLOUD_POINTS, MAX_STEPS, STEP_LIMIT,
                            make_task, raw_descriptor_codebooks, rollout,
                            scripted_expert, step, write_split_table)
 from partfield.errors import InvalidArgumentError
+from partfield.geometry import generate_object
 from partfield.rng import derive_seed
 
 
@@ -157,6 +158,18 @@ def test_pipeline_attach_observations():
     desc = extract_descriptors(task.cloud, pipeline.k_neighbors)
     np.testing.assert_array_equal(
         obs.field.values, desc / np.linalg.norm(desc, axis=1, keepdims=True))
+
+
+def test_pipeline_cache_never_returns_another_clouds_field():
+    # fresh clouds are freed after each lookup, so their ids get reused;
+    # the cache must still answer for the cloud it is given
+    pipeline = _pipeline()
+    stale = 0
+    for seed in range(40):
+        cloud = generate_object("box_with_lid", seed, 64)
+        got = pipeline.field_for(cloud).values
+        stale += not np.array_equal(got, _pipeline().field_for(cloud).values)
+    assert stale == 0
 
 
 def test_split_instance_disjointness():

@@ -110,6 +110,30 @@ def test_fps_matches_naive_oracle():
         pts = rng.standard_normal((60, 3))
         got = farthest_point_sample(pts, 20, start=trial)
         np.testing.assert_array_equal(got, _fps_oracle(pts, 20, trial))
+    # three copies of each point: once every distinct point is picked all
+    # distances tie at zero, and each pick must be the lowest index
+    dup = np.repeat(rng.standard_normal((20, 3)), 3, axis=0)
+    got = farthest_point_sample(dup, 30, start=4)
+    np.testing.assert_array_equal(got, _fps_oracle(dup, 30, 4))
+
+
+def _fps_norm_loop(points, m, start):
+    """The oracle's arithmetic with np.argmax picks, fast enough for 2048
+    points."""
+    selected = [start]
+    dist = np.linalg.norm(points - points[start], axis=1)
+    for _ in range(m - 1):
+        selected.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, np.linalg.norm(points - points[selected[-1]],
+                                               axis=1))
+    return np.array(selected)
+
+
+def test_fps_matches_norm_loop_at_task_size():
+    # the environment's 2048 -> 1024 downsampling, bit for bit
+    raw = generate_object("drawer_cabinet", 3, 2048)
+    got = farthest_point_sample(raw, 1024, start=5)
+    np.testing.assert_array_equal(got, _fps_norm_loop(raw.points, 1024, 5))
 
 
 def test_fps_covers_spread():

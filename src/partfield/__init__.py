@@ -22,6 +22,6 @@ from .geometry import (CATEGORIES, PART_VOCAB, SEEN_CATEGORIES,
                        farthest_point_sample, generate_object, load_cloud_ply,
                        load_dataset, save_cloud_ply, save_dataset)
 from .losses import (LabeledFeatureBatch, LossConfig, geometric_loss,
-                     loss_gradients, sample_batch, semantic_loss, total_loss)
+                     loss_gradients, semantic_loss)
 
 __version__ = "0.1.0"

@@ -225,7 +225,7 @@ def cmd_train_policy(args):
     print(f"final policy mse {history[-1]['mse']:.6f} -> {out_dir}")
 
 
-EVAL_KEYS = {"seed": 0, "k_neighbors": 16}
+EVAL_KEYS = {"seed": 0}
 
 
 def cmd_eval_seg(args):
@@ -316,7 +316,7 @@ def cmd_rollout(args):
 
 
 EXPORT_KEYS = {"category": "box_with_lid", "instance_seed": 0, "points": 1024,
-               "query": None, "mode": "pca", "k_neighbors": 16}
+               "query": None}
 
 
 def cmd_export_ply(args):

@@ -17,8 +17,8 @@ import numpy as np
 
 from .descriptors import D_IN, extract_descriptors
 from .errors import InvalidArgumentError, NumericalError
-from .losses import (LabeledFeatureBatch, LossConfig, geometric_loss,
-                     loss_gradients, sample_batch_indices, semantic_loss)
+from .losses import (LabeledFeatureBatch, LossConfig, loss_gradients,
+                     sample_batch_indices)
 from .nn import Adam, mlp_backward, mlp_forward
 from .rng import rng_from
 from .serialize import load_arrays, save_arrays
@@ -79,9 +79,9 @@ def init_refine_net(d_in: int = D_IN, hidden: int = 64, depth: int = 2,
 
 def normalize_rows(y: np.ndarray):
     """Unit rows plus the norms and nonzero mask the backward pass needs;
-    a zero row maps to the fixed fallback e1."""
+    a zero row maps to the fixed fallback e1, a NaN row stays NaN."""
     norms = np.linalg.norm(y, axis=1)
-    ok = norms > 0.0
+    ok = norms != 0.0
     f = np.empty_like(y)
     f[ok] = y[ok] / norms[ok, None]
     if not np.all(ok):
@@ -170,18 +170,14 @@ def train_field(clouds, codebooks: dict, config: TrainConfig,
                          zip(idx.cloud_indices, idx.point_indices)])
         ff = forward(params, desc)
         batch = LabeledFeatureBatch(ff.values, idx.labels, category)
-        cb = codebooks[category]
-        l_geo = geometric_loss(batch, config.loss.tau_geo) \
-            if config.loss.enable_geo else None
-        l_sem = semantic_loss(batch, cb, config.loss.tau_sem) \
-            if config.loss.enable_sem else None
+        l_geo, l_sem, grad_f = loss_gradients(batch, codebooks[category],
+                                              config.loss)
         total = (l_geo or 0.0) + (l_sem or 0.0)
         if not np.isfinite(total):
             err = NumericalError(f"non-finite loss at step {step}")
             err.step = step
             err.params = params.copy()
             raise err
-        grad_f = loss_gradients(batch, cb, config.loss)
         grads = backward(params, desc, grad_f)
         opt.step(tensors, [a for W, b in grads for a in (W, b)])
         history.append({"step": step, "L_geo": l_geo, "L_sem": l_sem,

@@ -1,5 +1,5 @@
 """Supervised-contrastive geometric loss, codebook-alignment semantic
-loss, their sum, analytic gradients, and balanced batch construction.
+loss, and balanced batch construction.
 
 Both losses operate on unit-norm feature rows.  The geometric loss pulls
 same-part features together and pushes cross-part features apart; the
@@ -8,12 +8,17 @@ codebook vectors.  Anchors whose part appears only once in the batch
 contribute zero to the geometric loss (the standard SupCon convention,
 which avoids the 1/(N_a - 1) division by zero).
 
+Each loss returns its value and its analytic gradient with respect to
+the feature rows from one evaluation.  `loss_gradients` is the single
+entry point of training: it runs the enabled terms and sums their
+gradients.
+
 All log-sum-exp computations subtract the row max first, so temperatures
 down to 0.01 stay finite.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,121 +62,82 @@ class LabeledFeatureBatch:
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise InvalidArgumentError("feature rows must be unit norm within 1e-9")
 
-    @property
-    def counts(self) -> np.ndarray:
-        """Per-row count of batch samples sharing that row's label."""
-        _, inverse, counts = np.unique(self.labels, return_inverse=True,
-                                       return_counts=True)
-        return counts[inverse]
 
+def geometric_loss(batch: LabeledFeatureBatch,
+                   tau: float) -> tuple[float, np.ndarray]:
+    """Exact supervised-contrastive loss over the batch at temperature tau
+    and its gradient d/d(features), rows treated as free vectors.
 
-def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
-    m = scores.max(axis=1)
-    return m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
-
-
-def _geo_terms(features: np.ndarray, labels: np.ndarray, tau: float):
-    """Shared scaffolding for the geometric loss and its gradient.
-
-    Returns (scores, pos_mask, n_pos, softmax q over k != i).
+    The loss sums, over anchors with at least one same-label partner, the
+    average -log softmax(f_i . f_j / tau) over that anchor's positives.
     """
+    if tau <= 0:
+        raise InvalidArgumentError("tau must be positive")
+    features, labels = batch.features, batch.labels
     n = len(features)
+    if n < 2:
+        return 0.0, np.zeros_like(features)
     scores = (features @ features.T) / tau
     off_diag = ~np.eye(n, dtype=bool)
     pos = (labels[:, None] == labels[None, :]) & off_diag
     n_pos = pos.sum(axis=1)
+    anchors = n_pos > 0
+    if not np.any(anchors):
+        log.warning("geometric_loss: every anchor is a singleton; returning 0")
+        return 0.0, np.zeros_like(features)
     # softmax over k != i: push the diagonal to -inf before the max trick
     masked = np.where(off_diag, scores, -np.inf)
-    logz = _logsumexp_rows(masked)
-    q = np.exp(masked - logz[:, None])
-    return scores, pos, n_pos, q, logz
-
-
-def geometric_loss(batch: LabeledFeatureBatch, tau: float) -> float:
-    """Exact supervised-contrastive loss over the batch at temperature tau.
-
-    Sum over anchors with at least one same-label partner of the average
-    -log softmax(f_i . f_j / tau) over that anchor's positives.
-    """
-    if tau <= 0:
-        raise InvalidArgumentError("tau must be positive")
-    if len(batch.features) < 2:
-        return 0.0
-    scores, pos, n_pos, _, logz = _geo_terms(batch.features, batch.labels, tau)
-    if not np.any(n_pos > 0):
-        log.warning("geometric_loss: every anchor is a singleton; returning 0")
-        return 0.0
-    anchors = n_pos > 0
+    m = masked.max(axis=1)
+    logz = m + np.log(np.exp(masked - m[:, None]).sum(axis=1))
     per_anchor = np.where(
         anchors,
         -(np.where(pos, scores - logz[:, None], 0.0).sum(axis=1))
         / np.maximum(n_pos, 1),
         0.0,
     )
-    return float(per_anchor.sum())
-
-
-def geometric_loss_grad(batch: LabeledFeatureBatch, tau: float) -> np.ndarray:
-    """d(geometric_loss)/d(features), rows treated as free vectors."""
-    features, labels = batch.features, batch.labels
-    if len(features) < 2:
-        return np.zeros_like(features)
-    _, pos, n_pos, q, _ = _geo_terms(features, labels, tau)
-    anchors = (n_pos > 0)[:, None]
+    q = np.exp(masked - logz[:, None])
     # dL/dS_ij for i != j: softmax weight minus the positive-average weight
-    w = np.where(anchors, q - pos / np.maximum(n_pos, 1)[:, None], 0.0)
-    return (w @ features + w.T @ features) / tau
+    w = np.where(anchors[:, None], q - pos / np.maximum(n_pos, 1)[:, None], 0.0)
+    return float(per_anchor.sum()), (w @ features + w.T @ features) / tau
 
 
 def semantic_loss(batch: LabeledFeatureBatch, codebook: PartNameCodebook,
-                  tau: float) -> float:
+                  tau: float) -> tuple[float, np.ndarray]:
     """Cross-entropy of f_i against its part's codebook vector at
-    temperature tau, summed over the batch."""
+    temperature tau, summed over the batch, and its gradient
+    d/d(features)."""
     if tau <= 0:
         raise InvalidArgumentError("tau must be positive")
     if batch.labels.size and batch.labels.max() >= len(codebook.names):
         raise InvalidArgumentError("label index exceeds codebook size")
     scores = (batch.features @ codebook.vectors.T) / tau
-    logz = _logsumexp_rows(scores)
-    picked = scores[np.arange(len(scores)), batch.labels]
-    return float(np.sum(logz - picked))
-
-
-def semantic_loss_grad(batch: LabeledFeatureBatch, codebook: PartNameCodebook,
-                       tau: float) -> np.ndarray:
-    scores = (batch.features @ codebook.vectors.T) / tau
     m = scores.max(axis=1, keepdims=True)
     p = np.exp(scores - m)
-    p /= p.sum(axis=1, keepdims=True)
-    p[np.arange(len(p)), batch.labels] -= 1.0
-    return (p @ codebook.vectors) / tau
-
-
-def total_loss(batch: LabeledFeatureBatch, codebook: PartNameCodebook,
-               config: LossConfig) -> float:
-    """enable_geo * L_geo + enable_sem * L_sem."""
-    if not (config.enable_geo or config.enable_sem):
-        raise InvalidArgumentError("at least one loss term must be enabled")
-    out = 0.0
-    if config.enable_geo:
-        out += geometric_loss(batch, config.tau_geo)
-    if config.enable_sem:
-        out += semantic_loss(batch, codebook, config.tau_sem)
-    return out
+    z = p.sum(axis=1, keepdims=True)
+    rows = np.arange(len(scores))
+    loss = float(np.sum(m[:, 0] + np.log(z[:, 0]) - scores[rows, batch.labels]))
+    p /= z
+    p[rows, batch.labels] -= 1.0
+    return loss, (p @ codebook.vectors) / tau
 
 
 def loss_gradients(batch: LabeledFeatureBatch, codebook: PartNameCodebook,
-                   config: LossConfig) -> np.ndarray:
-    """d(total_loss)/d(features); the caller applies the normalization
-    Jacobian when chaining into a network."""
+                   config: LossConfig):
+    """(L_geo, L_sem, grad): each enabled term from one evaluation, a
+    disabled one None, and grad = d(L_geo + L_sem)/d(features).  The
+    caller applies the normalization Jacobian when chaining into a
+    network."""
     if not (config.enable_geo or config.enable_sem):
         raise InvalidArgumentError("at least one loss term must be enabled")
+    l_geo = l_sem = None
     grad = np.zeros_like(batch.features)
     if config.enable_geo:
-        grad += geometric_loss_grad(batch, config.tau_geo)
+        l_geo, g = geometric_loss(batch, config.tau_geo)
+        grad += g
     if config.enable_sem:
-        grad += semantic_loss_grad(batch, codebook, config.tau_sem)
-    return grad
+        l_sem, g = semantic_loss(batch, codebook, config.tau_sem)
+        grad += g
+    return l_geo, l_sem, grad
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +187,3 @@ def sample_batch_indices(clouds, category: str, points_per_part: int,
     return BatchIndex(np.array(ci, dtype=np.int64), np.array(pi, dtype=np.int64),
                       np.array(lab, dtype=np.int64), category)
 
-
-def sample_batch(clouds, fields, category: str, points_per_part: int,
-                 instances_per_batch: int, seed: int) -> LabeledFeatureBatch:
-    """Materialize a LabeledFeatureBatch from per-cloud feature matrices
-    (fields[i] aligned row-wise with clouds[i])."""
-    idx = sample_batch_indices(clouds, category, points_per_part,
-                               instances_per_batch, seed)
-    rows = np.stack([fields[c][p] for c, p in
-                     zip(idx.cloud_indices, idx.point_indices)])
-    return LabeledFeatureBatch(rows, idx.labels, category)

@@ -27,7 +27,7 @@ from partfield.field import (FeatureField, TrainConfig, backward, forward,
                              init_refine_net, part_similarity_stats,
                              train_field)
 from partfield.losses import (LabeledFeatureBatch, LossConfig, geometric_loss,
-                              loss_gradients, semantic_loss, total_loss)
+                              loss_gradients, semantic_loss)
 from partfield.rng import derive_seed
 
 # frozen recipe: everything downstream of the field depends on these
@@ -98,8 +98,9 @@ def test_criterion_1_loss_oracle_equivalence():
                                   int(rng.integers(1 << 20)))
         batch = LabeledFeatureBatch(f, labels)
         worst = max(worst,
-                    abs(geometric_loss(batch, tau) - _geo_loop(f, labels, tau)),
-                    abs(semantic_loss(batch, books, tau)
+                    abs(geometric_loss(batch, tau)[0]
+                        - _geo_loop(f, labels, tau)),
+                    abs(semantic_loss(batch, books, tau)[0]
                         - _sem_loop(f, labels, books.vectors, tau)))
     elapsed = time.perf_counter() - t0
     report(1, "loss-oracle equivalence",
@@ -117,7 +118,7 @@ def test_criterion_2_gradient_correctness():
     t0 = time.perf_counter()
     worst = 0.0
 
-    # d(total_loss)/d(features); perturbed rows are evaluated through the
+    # d(L_geo + L_sem)/d(features); perturbed rows are evaluated through the
     # loop oracles, which skip the unit-norm validation
     for _ in range(5):
         n, d, m = 8, 6, 3
@@ -126,7 +127,7 @@ def test_criterion_2_gradient_correctness():
         books = pf.build_codebook(["a", "b", "c"], d, int(rng.integers(1000)))
         cfg = LossConfig(float(rng.uniform(0.1, 0.6)),
                          float(rng.uniform(0.1, 0.6)))
-        grad = loss_gradients(LabeledFeatureBatch(f, labels), books, cfg)
+        grad = loss_gradients(LabeledFeatureBatch(f, labels), books, cfg)[2]
 
         def loose_total(fx):
             return (_geo_loop(fx, labels, cfg.tau_geo)
@@ -149,12 +150,14 @@ def test_criterion_2_gradient_correctness():
 
     def run(p):
         f = forward(p, desc)
-        return total_loss(LabeledFeatureBatch(f.values, labels), books, cfg)
+        l_geo, l_sem, _ = loss_gradients(LabeledFeatureBatch(f.values, labels),
+                                         books, cfg)
+        return l_geo + l_sem
 
     f = forward(params, desc)
     grads = backward(params, desc,
                      loss_gradients(LabeledFeatureBatch(f.values, labels),
-                                    books, cfg))
+                                    books, cfg)[2])
     for li in range(len(params.weights)):
         for arr_i in (0, 1):
             flat = params.weights[li][arr_i].reshape(-1)

@@ -245,6 +245,14 @@ def test_eval_seg_writes_table(tmp_path, tiny_data, tiny_field):
         assert 0.0 <= float(parts[3]) <= 1.0
 
 
+def test_eval_seg_unread_config_key_rejected(tmp_path, tiny_data, tiny_field):
+    rc = run("eval-seg", "--data", tiny_data,
+             "--field-ckpt", tiny_field / "field.ckpt",
+             "--out", tmp_path / "seg.csv",
+             "--config", json_file(tmp_path, {"k_neighbors": 8}))
+    assert rc == cli.EXIT_USAGE
+
+
 def test_eval_corr_writes_table(tmp_path, tiny_data, tiny_field):
     out = tmp_path / "corr.csv"
     rc = run("eval-corr", "--data", tiny_data,
@@ -277,6 +285,13 @@ def test_export_ply_pca_colors(tmp_path, tiny_field):
     cloud = geometry.load_cloud_ply(out)
     assert cloud.n_points == 128
     assert cloud.category == "box_with_lid"
+
+
+def test_export_ply_unread_config_key_rejected(tmp_path, tiny_field):
+    rc = run("export-ply", "--field-ckpt", tiny_field / "field.ckpt",
+             "--out", tmp_path / "x.ply",
+             "--config", json_file(tmp_path, {"mode": "pca"}))
+    assert rc == cli.EXIT_USAGE
 
 
 def test_export_ply_query_heatmap(tmp_path, tiny_field):

@@ -5,13 +5,13 @@ import pytest
 
 from partfield.codebook import build_codebooks
 from partfield.descriptors import extract_descriptors
-from partfield.errors import InvalidArgumentError
+from partfield.errors import InvalidArgumentError, NumericalError
 from partfield.field import (FeatureField, TrainConfig, backward, forward,
                              init_refine_net, load_field_checkpoint,
                              part_similarity_stats, save_field_checkpoint,
                              train_field, write_training_log)
 from partfield.geometry import PART_VOCAB, generate_object
-from partfield.losses import LabeledFeatureBatch, LossConfig, total_loss
+from partfield.losses import LabeledFeatureBatch, LossConfig, loss_gradients
 
 
 def test_param_count_closed_form():
@@ -66,6 +66,14 @@ def test_zero_row_fallback():
     np.testing.assert_array_equal(f.values, expected)
 
 
+def test_nan_weight_gives_nan_rows():
+    # a NaN norm must not take the zero-row fallback
+    params = init_refine_net(d_in=6, hidden=8, depth=2, n=5, seed=0)
+    params.weights[0][0][0, 0] = np.nan
+    f = forward(params, np.random.default_rng(0).standard_normal((4, 6)))
+    assert np.all(np.isnan(f.values))
+
+
 def test_full_chain_gradient_matches_fd():
     # loss -> normalized features -> net parameters, all by hand
     rng = np.random.default_rng(3)
@@ -77,13 +85,13 @@ def test_full_chain_gradient_matches_fd():
 
     def run(p):
         f = forward(p, desc)
-        return total_loss(LabeledFeatureBatch(f.values, labels),
-                          books["cat"], cfg)
+        l_geo, l_sem, _ = loss_gradients(LabeledFeatureBatch(f.values, labels),
+                                         books["cat"], cfg)
+        return l_geo + l_sem
 
-    from partfield.losses import loss_gradients
     f = forward(params, desc)
     grad_f = loss_gradients(LabeledFeatureBatch(f.values, labels),
-                            books["cat"], cfg)
+                            books["cat"], cfg)[2]
     grads = backward(params, desc, grad_f)
     h = 1e-5
     worst = 0.0
@@ -140,6 +148,18 @@ def test_train_field_rejects_empty_and_missing_codebook():
         train_field([], books, cfg)
     with pytest.raises(InvalidArgumentError):
         train_field(clouds, {"bottle_with_cap": books["bottle_with_cap"]}, cfg)
+
+
+def test_train_field_nan_descriptors_raise_before_update():
+    clouds, books = _tiny_dataset()
+    cfg = TrainConfig(steps=3, points_per_part=4, instances_per_batch=2,
+                      hidden=8, depth=2, n_dim=16, seed=0)
+    nan_desc = [np.full((c.n_points, 10), np.nan) for c in clouds]
+    with pytest.raises(NumericalError) as info:
+        train_field(clouds, books, cfg, descriptors=nan_desc)
+    assert info.value.step == 0
+    initial = init_refine_net(10, cfg.hidden, cfg.depth, cfg.n_dim, cfg.seed)
+    np.testing.assert_array_equal(info.value.params.flat(), initial.flat())
 
 
 def test_train_field_no_nan_medium_run():

@@ -5,11 +5,9 @@ import pytest
 
 from partfield.codebook import build_codebook
 from partfield.errors import InvalidArgumentError
-from partfield.losses import (BatchIndex, LabeledFeatureBatch, LossConfig,
-                              geometric_loss, geometric_loss_grad,
-                              loss_gradients, sample_batch,
-                              sample_batch_indices, semantic_loss,
-                              semantic_loss_grad, total_loss)
+from partfield.losses import (LabeledFeatureBatch, LossConfig,
+                              geometric_loss, loss_gradients,
+                              sample_batch_indices, semantic_loss)
 from partfield.geometry import generate_object
 
 
@@ -51,7 +49,7 @@ def test_geometric_loss_matches_oracle():
         labels = rng.integers(0, 3, size=n)
         batch = LabeledFeatureBatch(f, labels)
         tau = float(rng.uniform(0.05, 1.0))
-        assert abs(geometric_loss(batch, tau)
+        assert abs(geometric_loss(batch, tau)[0]
                    - _geo_oracle(f, labels, tau)) < 1e-10
 
 
@@ -64,7 +62,7 @@ def test_semantic_loss_matches_oracle():
         labels = rng.integers(0, 3, size=n)
         batch = LabeledFeatureBatch(f, labels)
         tau = float(rng.uniform(0.05, 1.0))
-        assert abs(semantic_loss(batch, cb, tau)
+        assert abs(semantic_loss(batch, cb, tau)[0]
                    - _sem_oracle(f, labels, cb.vectors, tau)) < 1e-10
 
 
@@ -72,16 +70,16 @@ def test_all_singletons_is_zero():
     rng = np.random.default_rng(2)
     f = _unit_rows(rng, 4, 6)
     batch = LabeledFeatureBatch(f, np.arange(4))
-    assert geometric_loss(batch, 0.1) == 0.0
-    np.testing.assert_array_equal(geometric_loss_grad(batch, 0.1),
-                                  np.zeros_like(f))
+    loss, grad = geometric_loss(batch, 0.1)
+    assert loss == 0.0
+    np.testing.assert_array_equal(grad, np.zeros_like(f))
 
 
 def test_tiny_batches():
     rng = np.random.default_rng(3)
     f = _unit_rows(rng, 1, 6)
     batch = LabeledFeatureBatch(f, np.zeros(1, dtype=int))
-    assert geometric_loss(batch, 0.1) == 0.0
+    assert geometric_loss(batch, 0.1)[0] == 0.0
 
 
 def test_mixed_singletons_contribute_zero():
@@ -89,7 +87,7 @@ def test_mixed_singletons_contribute_zero():
     rng = np.random.default_rng(4)
     f = _unit_rows(rng, 5, 6)
     labels = np.array([0, 0, 1, 1, 2])
-    loss = geometric_loss(LabeledFeatureBatch(f, labels), 0.2)
+    loss = geometric_loss(LabeledFeatureBatch(f, labels), 0.2)[0]
     assert abs(loss - _geo_oracle(f, labels, 0.2)) < 1e-10
 
 
@@ -98,7 +96,7 @@ def test_geometric_grad_matches_fd():
     f = _unit_rows(rng, 8, 5)
     labels = rng.integers(0, 2, size=8)
     batch = LabeledFeatureBatch(f, labels)
-    grad = geometric_loss_grad(batch, 0.3)
+    grad = geometric_loss(batch, 0.3)[1]
     h = 1e-6
     for (i, j) in [(0, 0), (3, 2), (7, 4)]:
         fp, fm = f.copy(), f.copy()
@@ -116,7 +114,7 @@ def test_semantic_grad_matches_fd():
     f = _unit_rows(rng, 6, 5)
     labels = rng.integers(0, 2, size=6)
     batch = LabeledFeatureBatch(f, labels)
-    grad = semantic_loss_grad(batch, cb, 0.4)
+    grad = semantic_loss(batch, cb, 0.4)[1]
     h = 1e-6
     for (i, j) in [(0, 0), (5, 4)]:
         fp, fm = f.copy(), f.copy()
@@ -133,24 +131,32 @@ def test_small_temperature_stays_finite():
     labels = rng.integers(0, 2, size=10)
     batch = LabeledFeatureBatch(f, labels)
     cb = build_codebook(["a", "b"], 6, 0)
-    assert np.isfinite(geometric_loss(batch, 0.01))
-    assert np.isfinite(semantic_loss(batch, cb, 0.01))
-    assert np.all(np.isfinite(loss_gradients(batch, cb, LossConfig(0.01, 0.01))))
+    assert np.isfinite(geometric_loss(batch, 0.01)[0])
+    assert np.isfinite(semantic_loss(batch, cb, 0.01)[0])
+    assert np.all(np.isfinite(loss_gradients(batch, cb, LossConfig(0.01, 0.01))[2]))
 
 
-def test_total_loss_ablation_flags():
+def test_loss_gradients_ablation_flags():
     rng = np.random.default_rng(8)
     f = _unit_rows(rng, 6, 6)
     labels = rng.integers(0, 2, size=6)
     batch = LabeledFeatureBatch(f, labels)
     cb = build_codebook(["a", "b"], 6, 0)
-    g = geometric_loss(batch, 0.1)
-    s = semantic_loss(batch, cb, 0.1)
-    assert abs(total_loss(batch, cb, LossConfig(0.1, 0.1)) - (g + s)) < 1e-12
-    assert abs(total_loss(batch, cb, LossConfig(0.1, 0.1, enable_sem=False)) - g) < 1e-12
-    assert abs(total_loss(batch, cb, LossConfig(0.1, 0.1, enable_geo=False)) - s) < 1e-12
+    g, g_grad = geometric_loss(batch, 0.1)
+    s, s_grad = semantic_loss(batch, cb, 0.1)
+    l_geo, l_sem, grad = loss_gradients(batch, cb, LossConfig(0.1, 0.1))
+    assert (l_geo, l_sem) == (g, s)
+    np.testing.assert_array_equal(grad, g_grad + s_grad)
+    l_geo, l_sem, grad = loss_gradients(batch, cb,
+                                        LossConfig(0.1, 0.1, enable_sem=False))
+    assert (l_geo, l_sem) == (g, None)
+    np.testing.assert_array_equal(grad, g_grad)
+    l_geo, l_sem, grad = loss_gradients(batch, cb,
+                                        LossConfig(0.1, 0.1, enable_geo=False))
+    assert (l_geo, l_sem) == (None, s)
+    np.testing.assert_array_equal(grad, s_grad)
     with pytest.raises(InvalidArgumentError):
-        total_loss(batch, cb, LossConfig(0.1, 0.1, False, False))
+        loss_gradients(batch, cb, LossConfig(0.1, 0.1, False, False))
 
 
 def test_batch_validation():
@@ -160,11 +166,6 @@ def test_batch_validation():
         LabeledFeatureBatch(np.eye(3), np.zeros(2, dtype=int))
     with pytest.raises(InvalidArgumentError):
         LossConfig(tau_geo=-1.0)
-
-
-def test_counts_property():
-    batch = LabeledFeatureBatch(np.eye(4), np.array([0, 0, 1, 0]))
-    np.testing.assert_array_equal(batch.counts, [3, 3, 1, 3])
 
 
 def test_sample_batch_indices_balanced_and_deterministic():
@@ -185,14 +186,3 @@ def test_sample_batch_indices_rejects_small_pool():
     with pytest.raises(InvalidArgumentError):
         sample_batch_indices(clouds, "pot_with_handle", 8, 3, seed=0)
 
-
-def test_sample_batch_materializes_rows():
-    clouds = [generate_object("bottle_with_cap", i, 200) for i in range(4)]
-    rng = np.random.default_rng(9)
-    fields = [_unit_rows(rng, 200, 8) for _ in clouds]
-    batch = sample_batch(clouds, fields, "bottle_with_cap", 4, 2, seed=1)
-    idx = sample_batch_indices(clouds, "bottle_with_cap", 4, 2, seed=1)
-    np.testing.assert_array_equal(
-        batch.features,
-        np.stack([fields[c][p] for c, p in
-                  zip(idx.cloud_indices, idx.point_indices)]))

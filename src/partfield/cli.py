@@ -1,11 +1,15 @@
 """Command-line surface: dataset generation, training, evaluation, and
 PLY export.
 
-Every command takes an optional --config JSON file whose keys must all
-be known (unknown keys are a usage error); explicit flags win over
-config values.  A single --seed fans out to per-module seeds through
-the documented derive_seed(seed, *tags) scheme, so each command is
-reproducible in isolation.
+Every command except eval-seg and eval-corr takes an optional --config
+JSON file whose keys must all be ones the command reads (any other key
+is a usage error); explicit flags win over config values.  The commands
+that draw random numbers (gen-data, train-field, train-policy, rollout)
+take a --seed that fans out to per-module seeds through the documented
+derive_seed(seed, *tags) scheme, so each command is reproducible in
+isolation.  Settings a checkpoint was trained with (the field's
+descriptor k, the policy's noise schedule) come from the checkpoint and
+are not options of the commands that load it.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
 failure.
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codebook as cb
-from . import diffusion, downstream, env, field, geometry
+from . import descriptors, diffusion, downstream, env, field, geometry
 from .errors import FormatError, InvalidArgumentError, NotFoundError, NumericalError
 from .losses import LossConfig
 from .rng import derive_seed
@@ -108,8 +112,8 @@ def cmd_gen_data(args):
 TRAIN_FIELD_KEYS = {
     "steps": 16000, "learning_rate": 3e-3, "points_per_part": 32,
     "instances_per_batch": 4, "hidden": 128, "depth": 3, "n_dim": 32,
-    "k_neighbors": 16, "tau_geo": 0.1, "tau_sem": 0.5,
-    "enable_geo": True, "enable_sem": True, "seed": 0,
+    "k_neighbors": descriptors.DEFAULT_K_NEIGHBORS, "tau_geo": 0.1,
+    "tau_sem": 0.5, "enable_geo": True, "enable_sem": True, "seed": 0,
 }
 
 
@@ -181,17 +185,11 @@ def build_demo_episodes(task_specs, demos_per_task, seed, pose):
     return episodes, instance_seeds
 
 
-def _make_schedule(opt):
-    return diffusion.make_schedule(int(opt["schedule_steps"]),
-                                   opt["schedule_kind"],
-                                   float(opt["gamma_lo"]), float(opt["gamma_hi"]))
-
-
-def _pipeline_from(field_ckpt, n_dim_seed=0):
+def _pipeline_from(field_ckpt):
     """FieldPipeline from a checkpoint path, or the raw-descriptor
     baseline when field_ckpt is None."""
     if field_ckpt is None:
-        return env.FieldPipeline(env.raw_descriptor_codebooks(seed=n_dim_seed))
+        return env.FieldPipeline(env.raw_descriptor_codebooks())
     ckpt_dir = Path(field_ckpt).parent
     params = field.load_field_checkpoint(field_ckpt)
     codebooks = cb.load_codebooks(ckpt_dir / "codebooks.jsonl")
@@ -206,7 +204,9 @@ def cmd_train_policy(args):
     episodes, _ = build_demo_episodes(task_specs, demos_per_task, demo_seed, pose)
     for ep in episodes:
         pipeline.attach_observations(ep)
-    schedule = _make_schedule(opt)
+    schedule = diffusion.make_schedule(
+        int(opt["schedule_steps"]), opt["schedule_kind"],
+        float(opt["gamma_lo"]), float(opt["gamma_hi"]))
     pcfg = diffusion.PolicyTrainConfig(
         steps=int(opt["steps"]), learning_rate=float(opt["learning_rate"]),
         batch_size=int(opt["batch_size"]), cond_dim=int(opt["cond_dim"]),
@@ -215,7 +215,7 @@ def cmd_train_policy(args):
     params, history = diffusion.train_policy(episodes, schedule, pcfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    diffusion.save_policy_checkpoint(out_dir / "policy.ckpt", params)
+    diffusion.save_policy_checkpoint(out_dir / "policy.ckpt", params, schedule)
     with open(out_dir / "policy_log.csv", "w", newline="") as f:
         f.write("step,mse\n")
         for row in history:
@@ -225,15 +225,10 @@ def cmd_train_policy(args):
     print(f"final policy mse {history[-1]['mse']:.6f} -> {out_dir}")
 
 
-EVAL_KEYS = {"seed": 0}
-
-
 def cmd_eval_seg(args):
-    cfg = _load_config(args.config, EVAL_KEYS)
-    opt = _merge(cfg, args, EVAL_KEYS)
     clouds = geometry.load_dataset(args.data)
     pipeline = _pipeline_from(args.field_ckpt)
-    baseline = env.FieldPipeline(env.raw_descriptor_codebooks(seed=int(opt["seed"])))
+    baseline = _pipeline_from(None)
     rows = []
     for cloud in clouds:
         k = len(set(cloud.part_names))
@@ -258,8 +253,6 @@ def cmd_eval_seg(args):
 
 
 def cmd_eval_corr(args):
-    cfg = _load_config(args.config, EVAL_KEYS)
-    _merge(cfg, args, EVAL_KEYS)
     clouds = geometry.load_dataset(args.data)
     pipeline = _pipeline_from(args.field_ckpt)
     by_cat = {}
@@ -284,17 +277,21 @@ def cmd_eval_corr(args):
         print(f"{cat}: {sa} -> {sb}: part accuracy {acc:.3f}")
 
 
-ROLLOUT_KEYS = {**TRAIN_POLICY_KEYS, "episodes_per_split": 10,
-                "splits": "OS,OI,OC", "mode": "ddim_deterministic"}
+ROLLOUT_KEYS = {"episodes_per_split": 10, "splits": "OS,OI,OC",
+                "mode": "ddim_deterministic", "seed": 0}
 
 
 def cmd_rollout(args):
     cfg = _load_config(args.config, ROLLOUT_KEYS)
     opt = _merge(cfg, args, ROLLOUT_KEYS)
     task_specs, demos_per_task, demo_seed, pose = _load_demo_spec(args.demos)
-    policy = diffusion.load_policy_checkpoint(args.policy)
+    policy, schedule = diffusion.load_policy_checkpoint(args.policy)
     pipeline = _pipeline_from(args.field_ckpt)
-    schedule = _make_schedule(opt)
+    if policy.feat_dim != pipeline.dim:
+        raise InvalidArgumentError(
+            f"the policy reads {policy.feat_dim}-dim features but the "
+            f"pipeline gives {pipeline.dim}; pass the --field-ckpt it was "
+            f"trained with (or none for the raw-descriptor baseline)")
     _, instance_seeds = build_demo_episodes(task_specs, demos_per_task,
                                             demo_seed, pose)
     split_names = opt["splits"].split(",") if isinstance(opt["splits"], str) \
@@ -342,9 +339,8 @@ def cmd_export_ply(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, config=True, seed=True):
-    if config:
-        p.add_argument("--config", help="JSON config file; flags override it")
+def _add_common(p, seed=True):
+    p.add_argument("--config", help="JSON config file; flags override it")
     if seed:
         p.add_argument("--seed", type=int, help="global seed")
 
@@ -388,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--field-ckpt", dest="field_ckpt", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_eval_seg)
 
     p = sub.add_parser("eval-corr", help="nearest-neighbor correspondence "
@@ -396,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--field-ckpt", dest="field_ckpt", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_eval_corr)
 
     p = sub.add_parser("rollout", help="evaluate a policy across splits")
@@ -417,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="part name for a similarity heatmap; "
                    "omit for PCA colors")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_export_ply)
     return parser
 

@@ -21,9 +21,13 @@ from .errors import InvalidArgumentError
 from .geometry import PartLabeledCloud
 
 D_IN = 10
+# neighbourhood size when nothing else fixes it: the raw-descriptor
+# baseline and the training default (a trained field records its own)
+DEFAULT_K_NEIGHBORS = 16
 
 
-def extract_descriptors(cloud: PartLabeledCloud, k_neighbors: int = 16) -> np.ndarray:
+def extract_descriptors(cloud: PartLabeledCloud,
+                        k_neighbors: int = DEFAULT_K_NEIGHBORS) -> np.ndarray:
     """(N, 10) descriptor matrix, rows index-aligned with cloud points.
 
     The covariance neighborhood is the point itself plus its k nearest

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalError
+from .errors import FormatError, InvalidArgumentError, NumericalError
 from .field import FeatureField
 from .nn import Adam, mlp_backward, mlp_forward
 from .rng import rng_from
-from .serialize import load_arrays, save_arrays
+from .serialize import checked_meta, load_arrays, mlp_layers, save_arrays
 
 ACTION_DIM = 4          # delta-position (m) + gripper scalar
 DEFAULT_HORIZON = 16    # action chunk length
@@ -68,6 +68,12 @@ def make_schedule(K: int, kind: str = "linear", lo: float = 1e-4,
         gamma = lo + (hi - lo) * 0.5 * (1.0 - np.cos(math.pi * t))
     else:
         raise InvalidArgumentError(f"unknown schedule kind: {kind!r}")
+    return _schedule_from_gamma(gamma)
+
+
+def _schedule_from_gamma(gamma: np.ndarray) -> NoiseSchedule:
+    """The one place beta and beta_bar are derived from gamma, so a
+    checkpoint that stores gamma rebuilds its schedule bit for bit."""
     beta = 1.0 - gamma
     beta_bar = np.concatenate([[1.0], np.cumprod(beta)])
     return NoiseSchedule(beta, gamma, beta_bar)
@@ -208,12 +214,18 @@ class PolicyParams:
             self.feat_dim, self.horizon, self.action_dim, self.seed)
 
 
+def _enc_dim(feat_dim: int) -> int:
+    """Width of encode_observation's vector: two pooled features, anchor,
+    anchor - agent, agent state."""
+    return 2 * feat_dim + 3 + 3 + 4
+
+
 def init_policy(feat_dim: int, horizon: int = DEFAULT_HORIZON,
                 action_dim: int = ACTION_DIM, cond_dim: int = 32,
                 hidden: int = 128, temperature: float = 0.1,
                 seed: int = 0) -> PolicyParams:
     rng = rng_from(seed, "policy-init")
-    enc_dim = 2 * feat_dim + 3 + 3 + 4
+    enc_dim = _enc_dim(feat_dim)
     flat = horizon * action_dim
 
     def layer(din, dout):
@@ -351,19 +363,46 @@ def sample_actions(params: PolicyParams, obs: Observation,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_policy_checkpoint(path, params: PolicyParams) -> None:
+_META_TYPES = {"temperature": (int, float), "feat_dim": int, "horizon": int,
+               "action_dim": int, "seed": int, "n_proj": int,
+               "n_denoiser": int, "gamma": list}
+
+
+def save_policy_checkpoint(path, params: PolicyParams,
+                           schedule: NoiseSchedule) -> None:
+    """Weights plus the noise schedule they were trained under (as gamma)."""
     meta = {"temperature": params.temperature, "feat_dim": params.feat_dim,
             "horizon": params.horizon, "action_dim": params.action_dim,
             "seed": params.seed, "n_proj": len(params.proj),
-            "n_denoiser": len(params.denoiser)}
-    arrays = [a for W, b in params.proj + params.denoiser for a in (W, b)]
-    save_arrays(path, POLICY_MAGIC, meta, arrays)
+            "n_denoiser": len(params.denoiser),
+            "gamma": schedule.gamma.tolist()}
+    save_arrays(path, POLICY_MAGIC, meta, params.tensors())
 
 
-def load_policy_checkpoint(path) -> PolicyParams:
+def load_policy_checkpoint(path):
+    """(PolicyParams, NoiseSchedule) of a saved policy; FormatError when
+    the meta lacks a key or disagrees with the stored layer shapes."""
     meta, arrays = load_arrays(path, POLICY_MAGIC)
-    layers = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(len(arrays) // 2)]
-    n_proj = meta["n_proj"]
-    return PolicyParams(meta["temperature"], layers[:n_proj], layers[n_proj:],
-                        meta["feat_dim"], meta["horizon"], meta["action_dim"],
-                        meta["seed"])
+    meta = checked_meta(meta, _META_TYPES)
+    try:
+        gamma = np.array(meta["gamma"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError("checkpoint gamma is not a list of numbers") from exc
+    if gamma.ndim != 1 or len(gamma) == 0 \
+            or not np.all((gamma > 0.0) & (gamma < 1.0)):
+        raise FormatError(f"checkpoint gamma must be a non-empty list in "
+                          f"(0, 1), got {meta['gamma']!r}")
+    n_proj, n_den = meta["n_proj"], meta["n_denoiser"]
+    if min(n_proj, n_den, meta["feat_dim"], meta["horizon"],
+           meta["action_dim"]) < 1 or not meta["temperature"] > 0:
+        raise FormatError(f"checkpoint meta out of range: {meta}")
+    flat = meta["horizon"] * meta["action_dim"]
+    proj = mlp_layers(arrays[:2 * n_proj],
+                      [_enc_dim(meta["feat_dim"])] + [None] * n_proj)
+    denoiser = mlp_layers(arrays[2 * n_proj:],
+                          [proj[-1][0].shape[1] + flat + T_EMBED_DIM]
+                          + [None] * (n_den - 1) + [flat])
+    params = PolicyParams(meta["temperature"], proj, denoiser,
+                          meta["feat_dim"], meta["horizon"],
+                          meta["action_dim"], meta["seed"])
+    return params, _schedule_from_gamma(gamma)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .codebook import PartNameCodebook, build_codebooks
-from .descriptors import extract_descriptors
+from .descriptors import D_IN, extract_descriptors
 from .diffusion import (DEFAULT_EXECUTE, DEFAULT_HORIZON, Observation,
                         sample_actions)
 from .errors import InvalidArgumentError
@@ -32,6 +32,7 @@ SUCCESS_RADIUS = 0.03
 MAX_STEPS = 80
 CLOUD_POINTS = 1024        # observation cloud size after downsampling
 RAW_POINTS = 2048          # generator resolution before downsampling
+SPLITS = ("OS", "OI", "OC")
 
 
 @dataclass
@@ -155,28 +156,33 @@ def scripted_expert(task: Task, horizon: int = DEFAULT_HORIZON) -> Episode:
 class FieldPipeline:
     """Turns scene clouds into Observations for the policy.
 
-    With refine-net params the features are the trained field; with
-    params=None the raw geometric descriptors (row-normalized, zero rows
-    to e1) stand in as the baseline conditioning.  Codebooks must match
-    the feature dimension.
+    With refine-net params the features are the trained field, on
+    descriptors at the k the params record; with params=None the raw
+    geometric descriptors at the default k (row-normalized, zero rows to
+    e1) stand in as the baseline conditioning.  Codebooks must match the
+    feature dimension.
     """
 
-    def __init__(self, codebooks: dict, params: RefineNetParams = None,
-                 k_neighbors: int = 16):
+    def __init__(self, codebooks: dict, params: RefineNetParams = None):
         self.params = params
         self.codebooks = codebooks
-        self.k_neighbors = k_neighbors
         self._cache = {}
 
+    @property
+    def dim(self) -> int:
+        """Feature dimension of the observations."""
+        return D_IN if self.params is None else self.params.n
+
     def field_for(self, cloud: PartLabeledCloud) -> FeatureField:
-        # keyed on content: the field depends only on the points (plus k
-        # and params, fixed per pipeline), and an id() can be reused
+        # keyed on content: the field depends only on the points (plus
+        # the params, fixed per pipeline), and an id() can be reused
         key = cloud.points.tobytes()
         if key not in self._cache:
-            desc = extract_descriptors(cloud, self.k_neighbors)
             if self.params is not None:
+                desc = extract_descriptors(cloud, self.params.k_neighbors)
                 self._cache[key] = forward(self.params, desc)
             else:
+                desc = extract_descriptors(cloud)
                 self._cache[key] = FeatureField(normalize_rows(desc)[0])
         return self._cache[key]
 
@@ -252,6 +258,8 @@ def make_split_tasks(split: str, task_specs, n_tasks: int, seed: int,
     OS reuses train_instance_seeds[(category, part)] (new poses only);
     OI derives fresh instance seeds; OC targets the unseen category.
     """
+    if split not in SPLITS:
+        raise InvalidArgumentError(f"unknown split {split!r}; choose from {SPLITS}")
     if n_tasks < 1:
         raise InvalidArgumentError("n_tasks must be >= 1")
     tasks = []

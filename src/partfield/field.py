@@ -7,7 +7,9 @@ chains the loss gradient through the normalization Jacobian by hand and
 hands the rest to `nn.mlp_backward` (no autodiff framework).
 
 `depth` counts hidden layers; it is the capacity knob exposed for
-ablation studies.
+ablation studies.  The parameters record the descriptor `k_neighbors`
+the net was trained on, and its checkpoint keeps it, so whoever loads a
+field computes its input descriptors the same way.
 """
 
 import csv
@@ -15,20 +17,21 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .descriptors import D_IN, extract_descriptors
-from .errors import InvalidArgumentError, NumericalError
+from .descriptors import D_IN, DEFAULT_K_NEIGHBORS, extract_descriptors
+from .errors import FormatError, InvalidArgumentError, NumericalError
 from .losses import (LabeledFeatureBatch, LossConfig, loss_gradients,
                      sample_batch_indices)
 from .nn import Adam, mlp_backward, mlp_forward
 from .rng import rng_from
-from .serialize import load_arrays, save_arrays
+from .serialize import checked_meta, load_arrays, mlp_layers, save_arrays
 
 FIELD_MAGIC = b"PFF1"
 
 
 @dataclass
 class RefineNetParams:
-    """Weights/biases of the d_in -> hidden x depth -> n stack."""
+    """Weights/biases of the d_in -> hidden x depth -> n stack, plus the
+    descriptor k the net reads."""
 
     weights: list   # [(W, b), ...], depth+1 linear layers
     d_in: int
@@ -36,10 +39,12 @@ class RefineNetParams:
     depth: int
     n: int
     seed: int
+    k_neighbors: int
 
     def copy(self) -> "RefineNetParams":
         return RefineNetParams([(W.copy(), b.copy()) for W, b in self.weights],
-                               self.d_in, self.hidden, self.depth, self.n, self.seed)
+                               self.d_in, self.hidden, self.depth, self.n,
+                               self.seed, self.k_neighbors)
 
     def flat(self) -> np.ndarray:
         return np.concatenate([a.ravel() for W, b in self.weights for a in (W, b)])
@@ -64,7 +69,8 @@ class FeatureField:
 
 def init_refine_net(d_in: int = D_IN, hidden: int = 64, depth: int = 2,
                     n: int = 32, seed: int = 0) -> RefineNetParams:
-    """Seeded scaled-Gaussian (1/sqrt(fan_in)) initialization."""
+    """Seeded scaled-Gaussian (1/sqrt(fan_in)) initialization, tagged with
+    the default descriptor k (train_field records the k it trains on)."""
     if min(d_in, hidden, depth, n) < 1:
         raise InvalidArgumentError("all dims must be >= 1")
     rng = rng_from(seed, "refine-init")
@@ -74,7 +80,8 @@ def init_refine_net(d_in: int = D_IN, hidden: int = 64, depth: int = 2,
         W = rng.standard_normal((dims[i], dims[i + 1])) / np.sqrt(dims[i])
         b = np.zeros(dims[i + 1])
         weights.append((W, b))
-    return RefineNetParams(weights, d_in, hidden, depth, n, seed)
+    return RefineNetParams(weights, d_in, hidden, depth, n, seed,
+                           DEFAULT_K_NEIGHBORS)
 
 
 def normalize_rows(y: np.ndarray):
@@ -131,7 +138,7 @@ class TrainConfig:
     hidden: int = 64
     depth: int = 2
     n_dim: int = 32
-    k_neighbors: int = 16
+    k_neighbors: int = DEFAULT_K_NEIGHBORS
 
     def __post_init__(self):
         if self.steps < 1 or self.learning_rate <= 0:
@@ -144,8 +151,9 @@ def train_field(clouds, codebooks: dict, config: TrainConfig,
 
     Returns (params, log) where log is a list of dicts with per-step
     loss terms (disabled terms stay None).  Descriptors may be passed
-    precomputed (row-aligned with clouds); otherwise they are extracted
-    once here.
+    precomputed (row-aligned with clouds, at config.k_neighbors);
+    otherwise they are extracted once here.  Non-finite features or
+    losses raise NumericalError before that step's update.
     """
     if not clouds:
         raise InvalidArgumentError("dataset must be non-empty")
@@ -157,6 +165,7 @@ def train_field(clouds, codebooks: dict, config: TrainConfig,
         descriptors = [extract_descriptors(c, config.k_neighbors) for c in clouds]
     params = init_refine_net(D_IN, config.hidden, config.depth,
                              config.n_dim, config.seed)
+    params.k_neighbors = config.k_neighbors
     tensors = [a for W, b in params.weights for a in (W, b)]
     opt = Adam([a.shape for a in tensors], config.learning_rate,
                config.beta1, config.beta2, config.eps)
@@ -169,20 +178,26 @@ def train_field(clouds, codebooks: dict, config: TrainConfig,
         desc = np.stack([descriptors[c][p] for c, p in
                          zip(idx.cloud_indices, idx.point_indices)])
         ff = forward(params, desc)
+        if not np.all(np.isfinite(ff.values)):
+            raise _diverged(f"non-finite features at step {step}", step, params)
         batch = LabeledFeatureBatch(ff.values, idx.labels, category)
         l_geo, l_sem, grad_f = loss_gradients(batch, codebooks[category],
                                               config.loss)
         total = (l_geo or 0.0) + (l_sem or 0.0)
         if not np.isfinite(total):
-            err = NumericalError(f"non-finite loss at step {step}")
-            err.step = step
-            err.params = params.copy()
-            raise err
+            raise _diverged(f"non-finite loss at step {step}", step, params)
         grads = backward(params, desc, grad_f)
         opt.step(tensors, [a for W, b in grads for a in (W, b)])
         history.append({"step": step, "L_geo": l_geo, "L_sem": l_sem,
                         "total": total})
     return params, history
+
+
+def _diverged(message: str, step: int, params: RefineNetParams):
+    err = NumericalError(message)
+    err.step = step
+    err.params = params.copy()
+    return err
 
 
 def write_training_log(path, history) -> None:
@@ -232,16 +247,23 @@ def part_similarity_stats(field: FeatureField, labels,
 # ---------------------------------------------------------------------------
 # checkpoints
 
+_META_KEYS = ("d_in", "hidden", "depth", "n", "seed", "k_neighbors")
+
+
 def save_field_checkpoint(path, params: RefineNetParams) -> None:
-    meta = {"d_in": params.d_in, "hidden": params.hidden,
-            "depth": params.depth, "n": params.n, "seed": params.seed}
+    meta = {key: getattr(params, key) for key in _META_KEYS}
     arrays = [a for W, b in params.weights for a in (W, b)]
     save_arrays(path, FIELD_MAGIC, meta, arrays)
 
 
 def load_field_checkpoint(path) -> RefineNetParams:
+    """Params of a saved field; FormatError when the meta lacks a key or
+    disagrees with the stored layer shapes."""
     meta, arrays = load_arrays(path, FIELD_MAGIC)
-    weights = [(arrays[2 * i], arrays[2 * i + 1])
-               for i in range(len(arrays) // 2)]
-    return RefineNetParams(weights, meta["d_in"], meta["hidden"],
-                           meta["depth"], meta["n"], meta["seed"])
+    meta = checked_meta(meta, dict.fromkeys(_META_KEYS, int))
+    if min(meta["d_in"], meta["hidden"], meta["depth"], meta["n"]) < 1 \
+            or meta["k_neighbors"] < 3:
+        raise FormatError(f"checkpoint meta out of range: {meta}")
+    widths = [meta["d_in"]] + [meta["hidden"]] * meta["depth"] + [meta["n"]]
+    return RefineNetParams(mlp_layers(arrays, widths),
+                           **{key: meta[key] for key in _META_KEYS})

@@ -59,7 +59,7 @@ class LabeledFeatureBatch:
         if len(self.features) != len(self.labels):
             raise InvalidArgumentError("features and labels must align")
         norms = np.linalg.norm(self.features, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN rows fail too
             raise InvalidArgumentError("feature rows must be unit norm within 1e-9")
 
 

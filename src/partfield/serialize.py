@@ -1,4 +1,5 @@
-"""Versioned binary checkpoint container.
+"""Versioned binary checkpoint container, plus the meta and layer-shape
+checks its loaders share.
 
 Layout (all little-endian):
   magic 4 bytes | version u32 | meta_len u32 | meta JSON (utf-8)
@@ -66,3 +67,39 @@ def load_arrays(path, magic: bytes):
         raise FormatError(f"{len(blob) - off} trailing bytes after the last "
                           f"array at byte {off}")
     return meta, arrays
+
+
+def checked_meta(meta, types: dict) -> dict:
+    """The checkpoint meta, after checking that each key of `types` is
+    present with a value of its type (a bool is not a number here);
+    FormatError names the first key that is not."""
+    if not isinstance(meta, dict):
+        raise FormatError(f"checkpoint meta is not a JSON object: {meta!r}")
+    for key, kind in types.items():
+        value = meta.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise FormatError(f"checkpoint meta {key!r} is missing or has "
+                              f"the wrong type: {value!r}")
+    return meta
+
+
+def mlp_layers(arrays, widths) -> list:
+    """Pair arrays as [(W, b), ...] of an MLP with layer widths `widths`
+    (input first; None admits any width that chains); FormatError on a
+    wrong array count or a shape that disagrees."""
+    expected = 2 * (len(widths) - 1)
+    if len(arrays) != expected:
+        raise FormatError(f"checkpoint meta implies {expected} layer "
+                          f"arrays, found {len(arrays)}")
+    layers = []
+    width = widths[0]
+    for i, out in enumerate(widths[1:]):
+        W, b = arrays[2 * i], arrays[2 * i + 1]
+        if (W.ndim != 2 or W.shape[0] != width
+                or out is not None and W.shape[1] != out
+                or b.shape != W.shape[1:]):
+            raise FormatError(f"checkpoint layer {i} has W {W.shape} and b "
+                              f"{b.shape}; expected W ({width}, {out or 'any'})")
+        layers.append((W, b))
+        width = W.shape[1]
+    return layers

@@ -413,7 +413,7 @@ def test_criterion_9_determinism(tmp_path):
                    "hidden": 16, "depth": 2, "n_dim": 8, "k_neighbors": 8}
     small_policy = {"steps": 25, "batch_size": 4, "cond_dim": 8, "hidden": 16,
                     "schedule_steps": 4}
-    small_rollout = {**small_policy, "episodes_per_split": 1, "splits": "OS,OI"}
+    small_rollout = {"episodes_per_split": 1, "splits": "OS,OI"}
     mismatches = []
     for run in ("run1", "run2"):
         root = tmp_path / run

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partfield import cli, codebook, diffusion, field, geometry
+from partfield import (cli, codebook, descriptors, diffusion, env, field,
+                       geometry, serialize)
 
 
 def run(*argv):
@@ -196,8 +197,10 @@ def tiny_policy(tmp_path_factory, demo_spec, tiny_field):
 
 
 def test_train_policy_outputs(tiny_policy):
-    params = diffusion.load_policy_checkpoint(tiny_policy / "policy.ckpt")
+    params, schedule = diffusion.load_policy_checkpoint(
+        tiny_policy / "policy.ckpt")
     assert params.horizon == diffusion.DEFAULT_HORIZON
+    assert schedule.K == POLICY_CFG["schedule_steps"]
     assert params.action_dim == 4
     log = (tiny_policy / "policy_log.csv").read_text().splitlines()
     assert log[0] == "step,mse"
@@ -215,8 +218,7 @@ def test_train_policy_empty_tasks_is_usage_error(tmp_path, tiny_field):
 def test_rollout_writes_split_table(tmp_path, demo_spec, tiny_policy,
                                     tiny_field):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**POLICY_CFG, "episodes_per_split": 1,
-                               "splits": "OS,OI"}))
+    cfg.write_text(json.dumps({"episodes_per_split": 1, "splits": "OS,OI"}))
     out = tmp_path / "rollout.csv"
     rc = run("rollout", "--policy", tiny_policy / "policy.ckpt",
              "--field-ckpt", tiny_field / "field.ckpt",
@@ -225,6 +227,119 @@ def test_rollout_writes_split_table(tmp_path, demo_spec, tiny_policy,
     rows = out.read_text().splitlines()
     assert rows[0] == "split,success_rate,stderr,n"
     assert sorted(r.split(",")[0] for r in rows[1:]) == ["OI", "OS"]
+
+
+def _rollout(tmp_path, demo_spec, policy_ckpt, *extra):
+    return run("rollout", "--policy", policy_ckpt, "--demos", demo_spec,
+               "--episodes-per-split", 1, "--out", tmp_path / "rollout.csv",
+               *extra)
+
+
+def test_rollout_samples_with_checkpoint_schedule(tmp_path, monkeypatch,
+                                                  demo_spec, tiny_policy,
+                                                  tiny_field):
+    seen = []
+    sample_actions = env.sample_actions
+
+    def spy(policy, obs, schedule, *args, **kwargs):
+        seen.append(schedule)
+        return sample_actions(policy, obs, schedule, *args, **kwargs)
+
+    monkeypatch.setattr(env, "sample_actions", spy)
+    rc = _rollout(tmp_path, demo_spec, tiny_policy / "policy.ckpt",
+                  "--field-ckpt", tiny_field / "field.ckpt", "--splits", "OS")
+    assert rc == 0 and seen
+    trained = diffusion.make_schedule(POLICY_CFG["schedule_steps"])
+    for schedule in seen:
+        assert schedule.K == POLICY_CFG["schedule_steps"]
+        for name in ("beta", "gamma", "beta_bar"):
+            np.testing.assert_array_equal(getattr(schedule, name),
+                                          getattr(trained, name))
+
+
+@pytest.mark.parametrize("key", [{"schedule_steps": 4},
+                                 {"learning_rate": 5.0, "hidden": 3}],
+                         ids=["schedule_steps", "learning_rate+hidden"])
+def test_rollout_training_config_key_rejected(tmp_path, demo_spec,
+                                              tiny_policy, tiny_field, key):
+    rc = _rollout(tmp_path, demo_spec, tiny_policy / "policy.ckpt",
+                  "--field-ckpt", tiny_field / "field.ckpt",
+                  "--config", json_file(tmp_path, key))
+    assert rc == cli.EXIT_USAGE
+
+
+def test_rollout_policy_feature_dim_mismatch_is_usage_error(
+        tmp_path, demo_spec, tiny_policy):
+    # trained on the 8-dim field, rolled out on 10-dim raw descriptors
+    rc = _rollout(tmp_path, demo_spec, tiny_policy / "policy.ckpt")
+    assert rc == cli.EXIT_USAGE
+
+
+def test_rollout_unknown_split_is_usage_error(tmp_path, demo_spec,
+                                              tiny_policy, tiny_field):
+    rc = _rollout(tmp_path, demo_spec, tiny_policy / "policy.ckpt",
+                  "--field-ckpt", tiny_field / "field.ckpt",
+                  "--splits", "OS,Os,bogus")
+    assert rc == cli.EXIT_USAGE
+    assert not (tmp_path / "rollout.csv").exists()
+
+
+def _rewrite_checkpoint(src, dst, magic, edit):
+    meta, arrays = serialize.load_arrays(src, magic)
+    serialize.save_arrays(dst, magic, *edit(meta, arrays))
+
+
+def _drop(key):
+    return lambda meta, arrays: ({k: v for k, v in meta.items() if k != key},
+                                 arrays)
+
+
+def _set(key, value):
+    return lambda meta, arrays: ({**meta, key: value}, arrays)
+
+
+def _drop_last_bias(meta, arrays):
+    return meta, arrays[:-1]
+
+
+def _shrink_first_weight(meta, arrays):
+    return meta, [arrays[0][:-1]] + arrays[1:]
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("hidden"), _set("hidden", "16"), _drop("k_neighbors"),
+    _set("k_neighbors", 2), _drop_last_bias, _shrink_first_weight],
+    ids=["no_hidden", "str_hidden", "no_k", "k_2", "no_last_bias",
+         "short_W0"])
+def test_export_ply_bad_field_checkpoint_is_data_error(tmp_path, tiny_field,
+                                                       edit):
+    ckpt_dir = tmp_path / "ckpt"
+    ckpt_dir.mkdir()
+    _rewrite_checkpoint(tiny_field / "field.ckpt", ckpt_dir / "field.ckpt",
+                        field.FIELD_MAGIC, edit)
+    (ckpt_dir / "codebooks.jsonl").write_text(
+        (tiny_field / "codebooks.jsonl").read_text())
+    rc = run("export-ply", "--field-ckpt", ckpt_dir / "field.ckpt",
+             "--out", tmp_path / "x.ply",
+             "--config", json_file(tmp_path, {"points": 128}))
+    assert rc == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("horizon"), _set("feat_dim", 8.0), _drop("gamma"),
+    _set("gamma", [0.5, 1.5]), _set("gamma", "linear"), _drop_last_bias,
+    _shrink_first_weight],
+    ids=["no_horizon", "float_feat_dim", "no_gamma", "gamma_1.5",
+         "str_gamma", "no_last_bias", "short_W0"])
+def test_rollout_bad_policy_checkpoint_is_data_error(tmp_path, demo_spec,
+                                                     tiny_policy, tiny_field,
+                                                     edit):
+    ckpt = tmp_path / "policy.ckpt"
+    _rewrite_checkpoint(tiny_policy / "policy.ckpt", ckpt,
+                        diffusion.POLICY_MAGIC, edit)
+    rc = _rollout(tmp_path, demo_spec, ckpt,
+                  "--field-ckpt", tiny_field / "field.ckpt")
+    assert rc == cli.EXIT_DATA
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +361,37 @@ def test_eval_seg_writes_table(tmp_path, tiny_data, tiny_field):
 
 
 def test_eval_seg_unread_config_key_rejected(tmp_path, tiny_data, tiny_field):
-    rc = run("eval-seg", "--data", tiny_data,
-             "--field-ckpt", tiny_field / "field.ckpt",
-             "--out", tmp_path / "seg.csv",
-             "--config", json_file(tmp_path, {"k_neighbors": 8}))
-    assert rc == cli.EXIT_USAGE
+    # eval-seg reads no config key, so it takes no --config at all
+    with pytest.raises(SystemExit) as info:
+        run("eval-seg", "--data", tiny_data,
+            "--field-ckpt", tiny_field / "field.ckpt",
+            "--out", tmp_path / "seg.csv",
+            "--config", json_file(tmp_path, {"k_neighbors": 8}))
+    assert info.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["eval-seg", "eval-corr", "export-ply"])
+def test_seed_flag_rejected_where_unread(tmp_path, tiny_data, tiny_field,
+                                         command):
+    data = ["--data", tiny_data] if command.startswith("eval") else []
+    with pytest.raises(SystemExit) as info:
+        run(command, *data, "--field-ckpt", tiny_field / "field.ckpt",
+            "--out", tmp_path / "x", "--seed", 1)
+    assert info.value.code == cli.EXIT_USAGE
+
+
+def test_field_checkpoint_k_drives_pipeline(tiny_field):
+    params = field.load_field_checkpoint(tiny_field / "field.ckpt")
+    assert params.k_neighbors == FIELD_CFG["k_neighbors"] == 8
+    pipeline = cli._pipeline_from(tiny_field / "field.ckpt")
+    cloud = geometry.generate_object("box_with_lid", 3, 128)
+    got = pipeline.field_for(cloud).values
+    np.testing.assert_array_equal(
+        got, field.forward(params, descriptors.extract_descriptors(
+            cloud, 8)).values)
+    assert not np.array_equal(
+        got, field.forward(params, descriptors.extract_descriptors(
+            cloud, 16)).values)
 
 
 def test_eval_corr_writes_table(tmp_path, tiny_data, tiny_field):

@@ -234,9 +234,13 @@ def test_policy_forward_shape_and_determinism():
 
 def test_policy_checkpoint_roundtrip(tmp_path):
     params = init_policy(feat_dim=6, horizon=4, cond_dim=8, hidden=16, seed=3)
+    schedule = make_schedule(7, "cosine", 3e-4, 0.05)
     path = tmp_path / "p.ckpt"
-    save_policy_checkpoint(path, params)
-    back = load_policy_checkpoint(path)
+    save_policy_checkpoint(path, params, schedule)
+    back, back_schedule = load_policy_checkpoint(path)
+    for name in ("beta", "gamma", "beta_bar"):
+        np.testing.assert_array_equal(getattr(back_schedule, name),
+                                      getattr(schedule, name))
     rng = np.random.default_rng(6)
     obs = _toy_observation(rng, dim=6)
     noisy = rng.standard_normal((4, 4))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from partfield.descriptors import extract_descriptors
+from partfield.descriptors import DEFAULT_K_NEIGHBORS, extract_descriptors
 from partfield.diffusion import make_schedule
 from partfield.env import (CLOUD_POINTS, MAX_STEPS, STEP_LIMIT,
                            SUCCESS_RADIUS, FieldPipeline, PoseRanges,
@@ -155,7 +155,7 @@ def test_pipeline_attach_observations():
     np.testing.assert_allclose(np.linalg.norm(obs.field.values, axis=1),
                                1.0, atol=1e-9)
     # the raw baseline is each descriptor row divided by its norm
-    desc = extract_descriptors(task.cloud, pipeline.k_neighbors)
+    desc = extract_descriptors(task.cloud, DEFAULT_K_NEIGHBORS)
     np.testing.assert_array_equal(
         obs.field.values, desc / np.linalg.norm(desc, axis=1, keepdims=True))
 
@@ -185,6 +185,12 @@ def test_split_instance_disjointness():
     assert os_inst <= {s for pool in train_seeds.values() for s in pool}
     assert not (os_inst & oi_inst)
     assert all(t.cloud.category == "microwave_with_door" for t in oc_tasks)
+
+
+@pytest.mark.parametrize("split", ["Os", "bogus", ""])
+def test_split_name_must_be_known(split):
+    with pytest.raises(InvalidArgumentError):
+        make_split_tasks(split, [("box_with_lid", "lid")], 2, seed=0)
 
 
 def test_split_requires_train_seeds_for_os():

@@ -213,8 +213,8 @@ def test_checkpoint_roundtrip(tmp_path):
     save_field_checkpoint(path, params)
     back = load_field_checkpoint(path)
     np.testing.assert_array_equal(back.flat(), params.flat())
-    assert (back.d_in, back.hidden, back.depth, back.n) == \
-        (params.d_in, params.hidden, params.depth, params.n)
+    assert (back.d_in, back.hidden, back.depth, back.n, back.k_neighbors) == \
+        (params.d_in, params.hidden, params.depth, params.n, params.k_neighbors)
     desc = np.random.default_rng(1).standard_normal((5, 10))
     np.testing.assert_array_equal(forward(params, desc).values,
                                   forward(back, desc).values)

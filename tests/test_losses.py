@@ -166,6 +166,10 @@ def test_batch_validation():
         LabeledFeatureBatch(np.eye(3), np.zeros(2, dtype=int))
     with pytest.raises(InvalidArgumentError):
         LossConfig(tau_geo=-1.0)
+    nan_row = np.eye(3)
+    nan_row[1] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        LabeledFeatureBatch(nan_row, np.zeros(3, dtype=int))
 
 
 def test_sample_batch_indices_balanced_and_deterministic():

@@ -2,14 +2,15 @@
 PLY export.
 
 Every command except eval-seg and eval-corr takes an optional --config
-JSON file whose keys must all be ones the command reads (any other key
-is a usage error); explicit flags win over config values.  The commands
-that draw random numbers (gen-data, train-field, train-policy, rollout)
-take a --seed that fans out to per-module seeds through the documented
-derive_seed(seed, *tags) scheme, so each command is reproducible in
-isolation.  Settings a checkpoint was trained with (the field's
+JSON file whose keys must all be ones the command reads, each with a
+value of its default's type (anything else is a usage error); explicit
+flags win over config values.  The commands that draw random numbers
+(gen-data, train-field, train-policy, rollout) take a --seed that fans
+out to per-module seeds through the documented derive_seed(seed, *tags)
+scheme, so each command is reproducible in isolation.  Settings a checkpoint was trained with (the field's
 descriptor k, the policy's noise schedule) come from the checkpoint and
-are not options of the commands that load it.
+are not options of the commands that load it; a policy runs only on the
+features it was trained on.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
 failure.
@@ -35,17 +36,30 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _load_config(path, known_keys):
+def _load_config(path, keys):
+    """Config values, each checked against the type of its key's default
+    in `keys`: an int is a valid float and 0/1 a valid bool (both are
+    converted); a key whose default is None takes any value."""
     if path is None:
         return {}
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
-    unknown = set(cfg) - set(known_keys)
+    unknown = set(cfg) - set(keys)
     if unknown:
         raise InvalidArgumentError(
-            f"unknown config keys: {sorted(unknown)}; known: {sorted(known_keys)}")
+            f"unknown config keys: {sorted(unknown)}; known: {sorted(keys)}")
+    for key, value in cfg.items():
+        if keys[key] is None:
+            continue
+        kind = type(keys[key])
+        if type(value) is int and (kind is float
+                                   or kind is bool and value in (0, 1)):
+            cfg[key] = kind(value)
+        elif type(value) is not kind:
+            raise InvalidArgumentError(
+                f"config key {key!r} needs a {kind.__name__}, got {value!r}")
     return cfg
 
 
@@ -100,10 +114,10 @@ def cmd_gen_data(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     clouds = []
     for cat in categories:
-        for i in range(int(opt["instances"])):
-            inst_seed = derive_seed(int(opt["seed"]), "gen-data", cat, i)
+        for i in range(opt["instances"]):
+            inst_seed = derive_seed(opt["seed"], "gen-data", cat, i)
             clouds.append(geometry.generate_object(cat, inst_seed,
-                                                   int(opt["points"])))
+                                                   opt["points"]))
     geometry.save_dataset(out_dir / "dataset.jsonl", clouds)
     _write_manifest(out_dir, "gen-data", opt, ["dataset.jsonl"])
     print(f"wrote {len(clouds)} clouds to {out_dir / 'dataset.jsonl'}")
@@ -124,13 +138,13 @@ def cmd_train_field(args):
     loss_cfg = LossConfig(opt["tau_geo"], opt["tau_sem"],
                           bool(opt["enable_geo"]), bool(opt["enable_sem"]))
     train_cfg = field.TrainConfig(
-        steps=int(opt["steps"]), learning_rate=float(opt["learning_rate"]),
-        points_per_part=int(opt["points_per_part"]),
-        instances_per_batch=int(opt["instances_per_batch"]), loss=loss_cfg,
-        seed=derive_seed(int(opt["seed"]), "train-field"),
-        hidden=int(opt["hidden"]), depth=int(opt["depth"]),
-        n_dim=int(opt["n_dim"]), k_neighbors=int(opt["k_neighbors"]))
-    codebooks = _build_codebooks(train_cfg.n_dim, int(opt["seed"]))
+        steps=opt["steps"], learning_rate=opt["learning_rate"],
+        points_per_part=opt["points_per_part"],
+        instances_per_batch=opt["instances_per_batch"], loss=loss_cfg,
+        seed=derive_seed(opt["seed"], "train-field"),
+        hidden=opt["hidden"], depth=opt["depth"],
+        n_dim=opt["n_dim"], k_neighbors=opt["k_neighbors"])
+    codebooks = _build_codebooks(train_cfg.n_dim, opt["seed"])
     params, history = field.train_field(clouds, codebooks, train_cfg)
     final = history[-1]["total"]
     out_dir = Path(args.out)
@@ -163,10 +177,9 @@ def _load_demo_spec(path):
     if not spec["tasks"]:
         raise InvalidArgumentError(
             "demos config must list tasks: [[category, part], ...]")
-    pose = env.PoseRanges(float(spec["pose_yaw"]),
-                          float(spec["pose_translation"]))
-    return ([tuple(t) for t in spec["tasks"]],
-            int(spec["demos_per_task"]), int(spec["seed"]), pose)
+    pose = env.PoseRanges(spec["pose_yaw"], spec["pose_translation"])
+    return ([tuple(t) for t in spec["tasks"]], spec["demos_per_task"],
+            spec["seed"], pose)
 
 
 def build_demo_episodes(task_specs, demos_per_task, seed, pose):
@@ -204,18 +217,19 @@ def cmd_train_policy(args):
     episodes, _ = build_demo_episodes(task_specs, demos_per_task, demo_seed, pose)
     for ep in episodes:
         pipeline.attach_observations(ep)
-    schedule = diffusion.make_schedule(
-        int(opt["schedule_steps"]), opt["schedule_kind"],
-        float(opt["gamma_lo"]), float(opt["gamma_hi"]))
+    schedule = diffusion.make_schedule(opt["schedule_steps"],
+                                       opt["schedule_kind"], opt["gamma_lo"],
+                                       opt["gamma_hi"])
     pcfg = diffusion.PolicyTrainConfig(
-        steps=int(opt["steps"]), learning_rate=float(opt["learning_rate"]),
-        batch_size=int(opt["batch_size"]), cond_dim=int(opt["cond_dim"]),
-        hidden=int(opt["hidden"]), temperature=float(opt["temperature"]),
-        seed=derive_seed(int(opt["seed"]), "train-policy"))
+        steps=opt["steps"], learning_rate=opt["learning_rate"],
+        batch_size=opt["batch_size"], cond_dim=opt["cond_dim"],
+        hidden=opt["hidden"], temperature=opt["temperature"],
+        seed=derive_seed(opt["seed"], "train-policy"))
     params, history = diffusion.train_policy(episodes, schedule, pcfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    diffusion.save_policy_checkpoint(out_dir / "policy.ckpt", params, schedule)
+    diffusion.save_policy_checkpoint(out_dir / "policy.ckpt", params, schedule,
+                                     pipeline.field_record)
     with open(out_dir / "policy_log.csv", "w", newline="") as f:
         f.write("step,mse\n")
         for row in history:
@@ -285,25 +299,27 @@ def cmd_rollout(args):
     cfg = _load_config(args.config, ROLLOUT_KEYS)
     opt = _merge(cfg, args, ROLLOUT_KEYS)
     task_specs, demos_per_task, demo_seed, pose = _load_demo_spec(args.demos)
-    policy, schedule = diffusion.load_policy_checkpoint(args.policy)
+    policy, schedule, trained_on = diffusion.load_policy_checkpoint(args.policy)
     pipeline = _pipeline_from(args.field_ckpt)
-    if policy.feat_dim != pipeline.dim:
+    if trained_on != pipeline.field_record:
         raise InvalidArgumentError(
-            f"the policy reads {policy.feat_dim}-dim features but the "
-            f"pipeline gives {pipeline.dim}; pass the --field-ckpt it was "
+            f"the policy was trained on field {trained_on} but rollout "
+            f"gives {pipeline.field_record}; pass the --field-ckpt it was "
             f"trained with (or none for the raw-descriptor baseline)")
+    if policy.feat_dim != pipeline.dim:
+        raise FormatError(
+            f"the policy checkpoint names this field but reads "
+            f"{policy.feat_dim}-dim features, not {pipeline.dim}")
     _, instance_seeds = build_demo_episodes(task_specs, demos_per_task,
                                             demo_seed, pose)
-    split_names = opt["splits"].split(",") if isinstance(opt["splits"], str) \
-        else list(opt["splits"])
     splits = {
         name: env.make_split_tasks(
-            name, task_specs, int(opt["episodes_per_split"]),
-            derive_seed(int(opt["seed"]), "rollout-split", name),
+            name, task_specs, opt["episodes_per_split"],
+            derive_seed(opt["seed"], "rollout-split", name),
             train_instance_seeds=instance_seeds, pose_ranges=pose)
-        for name in split_names}
+        for name in opt["splits"].split(",")}
     table = env.evaluate_splits(policy, pipeline, schedule, splits,
-                                opt["mode"], seed=int(opt["seed"]))
+                                opt["mode"], seed=opt["seed"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     env.write_split_table(out, table)
@@ -319,8 +335,8 @@ EXPORT_KEYS = {"category": "box_with_lid", "instance_seed": 0, "points": 1024,
 def cmd_export_ply(args):
     cfg = _load_config(args.config, EXPORT_KEYS)
     opt = _merge(cfg, args, EXPORT_KEYS)
-    cloud = geometry.generate_object(opt["category"], int(opt["instance_seed"]),
-                                     int(opt["points"]))
+    cloud = geometry.generate_object(opt["category"], opt["instance_seed"],
+                                     opt["points"])
     pipeline = _pipeline_from(args.field_ckpt)
     ff = pipeline.field_for(cloud)
     if opt["query"]:

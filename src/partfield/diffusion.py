@@ -22,7 +22,7 @@ is the exact Gaussian posterior mean plus matched noise (the stochastic
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,25 +119,22 @@ class Observation:
 
     field rows are unit-norm features over `points` (the posed scene
     cloud); agent_state is (x, y, z, gripper); part_query is the
-    codebook vector of the task-critical part.  prev_field holds the
-    previous observation's field for the 2-frame history; None means
-    "reuse the current one" (static scenes, episode starts).
+    codebook vector of the task-critical part.
     """
 
     field: FeatureField
     points: np.ndarray
     agent_state: np.ndarray
     part_query: np.ndarray
-    prev_field: FeatureField = None
 
 
 def pool_with_part_query(field: FeatureField, part_query: np.ndarray,
-                         temperature: float = 1.0, return_weights: bool = False):
+                         temperature: float = 1.0):
     """Single-query attention pooling over field rows.
 
-    weights = softmax(field . query / (sqrt(n) * temperature)); the
-    pooled feature is a convex combination of rows.  With
-    return_weights=True the (weights, pooled) pair comes back instead.
+    Returns (weights, pooled) with weights = softmax(field . query /
+    (sqrt(n) * temperature)); the pooled feature is the convex
+    combination w @ rows.
     """
     values = field.values if isinstance(field, FeatureField) else np.asarray(field)
     if len(values) == 0:
@@ -151,14 +148,13 @@ def pool_with_part_query(field: FeatureField, part_query: np.ndarray,
     logits -= logits.max()
     w = np.exp(logits)
     w /= w.sum()
-    pooled = w @ values
-    return (w, pooled) if return_weights else pooled
+    return w, w @ values
 
 
 def encode_observation(obs: Observation, temperature: float) -> np.ndarray:
-    """Frozen conditioning vector: pooled feature (current + previous
-    frame), the attention-weighted scene anchor point, the anchor
-    relative to the agent, and agent state.
+    """Frozen conditioning vector: the pooled feature in both slots of a
+    two-frame history (scenes are static), the attention-weighted scene
+    anchor point, the anchor relative to the agent, and agent state.
 
     The anchor point (attention weights applied to the cloud's xyz)
     grounds the part query spatially; without it the translation-
@@ -166,18 +162,14 @@ def encode_observation(obs: Observation, temperature: float) -> np.ndarray:
     The anchor - agent offset is redundant with (anchor, state) but
     linearizes the reaching direction for the small denoiser.
     """
-    w, pooled = pool_with_part_query(obs.field, obs.part_query, temperature,
-                                     return_weights=True)
-    prev = obs.prev_field if obs.prev_field is not None else obs.field
-    pooled_prev = pool_with_part_query(prev, obs.part_query, temperature)
+    w, pooled = pool_with_part_query(obs.field, obs.part_query, temperature)
     anchor = w @ np.asarray(obs.points)
     state = np.asarray(obs.agent_state, dtype=np.float64)
-    return np.concatenate([pooled, pooled_prev, anchor, anchor - state[:3],
-                           state])
+    return np.concatenate([pooled, pooled, anchor, anchor - state[:3], state])
 
 
-def timestep_embedding(k: int, dim: int = T_EMBED_DIM) -> np.ndarray:
-    half = dim // 2
+def timestep_embedding(k: int) -> np.ndarray:
+    half = T_EMBED_DIM // 2
     freqs = np.exp(-np.log(1000.0) * np.arange(half) / max(half - 1, 1))
     ang = k * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)])
@@ -215,8 +207,8 @@ class PolicyParams:
 
 
 def _enc_dim(feat_dim: int) -> int:
-    """Width of encode_observation's vector: two pooled features, anchor,
-    anchor - agent, agent state."""
+    """Width of encode_observation's vector: two pooled-feature slots,
+    anchor, anchor - agent, agent state."""
     return 2 * feat_dim + 3 + 3 + 4
 
 
@@ -238,12 +230,24 @@ def init_policy(feat_dim: int, horizon: int = DEFAULT_HORIZON,
                         action_dim, seed)
 
 
+def _condition(params: PolicyParams, obs: Observation) -> np.ndarray:
+    """(1, cond_dim) proj MLP output for one observation; step-free."""
+    return mlp_forward(params.proj,
+                       encode_observation(obs, params.temperature)[None])[0]
+
+
+def _denoise(params: PolicyParams, cond: np.ndarray, noisy_flat: np.ndarray,
+             k_emb: np.ndarray):
+    """Denoiser MLP on [cond, noisy chunk, k embedding] rows: (out, acts)."""
+    return mlp_forward(params.denoiser,
+                       np.concatenate([cond, noisy_flat, k_emb], axis=-1))
+
+
 def _policy_apply(params: PolicyParams, enc_in: np.ndarray,
                   noisy_flat: np.ndarray, k_emb: np.ndarray):
     """Batched forward through both MLPs; returns output + caches."""
     cond, proj_acts = mlp_forward(params.proj, enc_in)
-    den_in = np.concatenate([cond, noisy_flat, k_emb], axis=-1)
-    out, den_acts = mlp_forward(params.denoiser, den_in)
+    out, den_acts = _denoise(params, cond, noisy_flat, k_emb)
     return out, (proj_acts, den_acts, cond.shape[-1])
 
 
@@ -255,10 +259,9 @@ def policy_forward(params: PolicyParams, obs: Observation,
         raise InvalidArgumentError(
             f"noisy chunk must be {(params.horizon, params.action_dim)}, "
             f"got {noisy.shape}")
-    enc_in = encode_observation(obs, params.temperature)
-    out, _ = _policy_apply(params, enc_in[None], noisy.ravel()[None],
-                           timestep_embedding(k)[None])
-    return out[0].reshape(params.horizon, params.action_dim)
+    out, _ = _denoise(params, _condition(params, obs), noisy.ravel()[None],
+                      timestep_embedding(k)[None])
+    return out[0].reshape(noisy.shape)
 
 
 def _policy_backward(params: PolicyParams, caches, grad_out: np.ndarray):
@@ -276,9 +279,6 @@ class PolicyTrainConfig:
     steps: int = 3000
     learning_rate: float = 1e-3
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     cond_dim: int = 32
     hidden: int = 128
     temperature: float = 0.1
@@ -309,8 +309,7 @@ def train_policy(episodes, schedule: NoiseSchedule,
                     for obs, _ in pairs])
     chunks = np.stack([chunk.ravel() for _, chunk in pairs])
     tensors = params.tensors()
-    opt = Adam([a.shape for a in tensors], config.learning_rate,
-               config.beta1, config.beta2, config.eps)
+    opt = Adam([a.shape for a in tensors], config.learning_rate)
     rng = rng_from(config.seed, "policy-train")
     history = []
     for step in range(config.steps):
@@ -339,7 +338,9 @@ def sample_actions(params: PolicyParams, obs: Observation,
                    schedule: NoiseSchedule, mode: str = "ddim_deterministic",
                    seed: int = 0) -> np.ndarray:
     """Draw an action chunk by iterating the denoising step from pure
-    noise at k = K down to k = 1 (exactly K denoiser evaluations).
+    noise at k = K down to k = 1.  The conditioning is fixed for the
+    chunk (Chi et al. 2023), so it is computed once; the K steps run only
+    the denoiser, bit for bit the chain of policy_forward + ddim_step.
 
     mode "ddim_deterministic": tau^k = 0 everywhere (only the initial
     a^K is random).  mode "ddpm_posterior": posterior-matched tau^k with
@@ -349,8 +350,10 @@ def sample_actions(params: PolicyParams, obs: Observation,
         raise InvalidArgumentError(f"unknown sampling mode: {mode!r}")
     rng = rng_from(seed, "sample-actions")
     a = rng.standard_normal((params.horizon, params.action_dim))
+    cond = _condition(params, obs)
     for k in range(schedule.K, 0, -1):
-        a0_pred = policy_forward(params, obs, a, k)
+        a0_pred = _denoise(params, cond, a.ravel()[None],
+                           timestep_embedding(k)[None])[0].reshape(a.shape)
         if mode == "ddpm_posterior" and k > 1:
             tau = ddpm_tau(k, schedule)
             v = rng.standard_normal(a.shape)
@@ -365,25 +368,31 @@ def sample_actions(params: PolicyParams, obs: Observation,
 
 _META_TYPES = {"temperature": (int, float), "feat_dim": int, "horizon": int,
                "action_dim": int, "seed": int, "n_proj": int,
-               "n_denoiser": int, "gamma": list}
+               "n_denoiser": int, "gamma": list, "field": (dict, type(None))}
+_FIELD_TYPES = {"k_neighbors": int, "sha256": str}
 
 
-def save_policy_checkpoint(path, params: PolicyParams,
-                           schedule: NoiseSchedule) -> None:
-    """Weights plus the noise schedule they were trained under (as gamma)."""
+def save_policy_checkpoint(path, params: PolicyParams, schedule: NoiseSchedule,
+                           field_record) -> None:
+    """Weights, the noise schedule they were trained under (as gamma),
+    and the record of the features they read
+    (`env.FieldPipeline.field_record`: None for the raw baseline)."""
     meta = {"temperature": params.temperature, "feat_dim": params.feat_dim,
             "horizon": params.horizon, "action_dim": params.action_dim,
             "seed": params.seed, "n_proj": len(params.proj),
             "n_denoiser": len(params.denoiser),
-            "gamma": schedule.gamma.tolist()}
+            "gamma": schedule.gamma.tolist(), "field": field_record}
     save_arrays(path, POLICY_MAGIC, meta, params.tensors())
 
 
 def load_policy_checkpoint(path):
-    """(PolicyParams, NoiseSchedule) of a saved policy; FormatError when
-    the meta lacks a key or disagrees with the stored layer shapes."""
+    """(PolicyParams, NoiseSchedule, field record) of a saved policy;
+    FormatError when the meta lacks a key or disagrees with the stored
+    layer shapes."""
     meta, arrays = load_arrays(path, POLICY_MAGIC)
     meta = checked_meta(meta, _META_TYPES)
+    if meta["field"] is not None:
+        checked_meta(meta["field"], _FIELD_TYPES)
     try:
         gamma = np.array(meta["gamma"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -405,4 +414,4 @@ def load_policy_checkpoint(path):
     params = PolicyParams(meta["temperature"], proj, denoiser,
                           meta["feat_dim"], meta["horizon"],
                           meta["action_dim"], meta["seed"])
-    return params, _schedule_from_gamma(gamma)
+    return params, _schedule_from_gamma(gamma), meta["field"]

@@ -3,12 +3,11 @@ visualization colors.
 
 Segmentation runs average-linkage agglomerative clustering on cosine
 distance (1 - dot of unit rows).  Scores use matched mIoU: the best mean
-IoU over all injective cluster-to-part assignments, found exhaustively
-(cluster counts are <= 8 at desk scale).  Correspondence is plain
-nearest neighbors in feature space.
+IoU over all injective cluster-to-part assignments, found by the
+Hungarian method (Kuhn 1955).  Correspondence is plain nearest neighbors
+in feature space.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +63,13 @@ def agglomerative_cluster(field, target_k: int = None,
 
 def match_miou(pred, gt_labels) -> float:
     """Best-assignment mean IoU between predicted clusters and ground
-    truth parts; exhaustive over injective assignments (counts <= 8)."""
+    truth parts; a part left without a cluster scores 0."""
     pred_labels = pred.labels if isinstance(pred, Segmentation) else np.asarray(pred)
     gt_labels = np.asarray(gt_labels)
     if len(pred_labels) != len(gt_labels):
         raise InvalidArgumentError("prediction and ground truth must align")
     clusters = np.unique(pred_labels)
     parts = np.unique(gt_labels)
-    if len(clusters) > 8 or len(parts) > 8:
-        raise InvalidArgumentError("match_miou supports at most 8 clusters/parts")
     iou = np.zeros((len(clusters), len(parts)))
     for a, c in enumerate(clusters):
         pc = pred_labels == c
@@ -80,13 +77,13 @@ def match_miou(pred, gt_labels) -> float:
             gp = gt_labels == p
             union = np.logical_or(pc, gp).sum()
             iou[a, b] = np.logical_and(pc, gp).sum() / union if union else 0.0
-    # pad the smaller side so every part (or cluster) is scored
-    k = max(len(clusters), len(parts))
-    padded = np.zeros((k, k))
-    padded[:len(clusters), :len(parts)] = iou
-    best = max(sum(padded[i, perm[i]] for i in range(k))
-               for perm in itertools.permutations(range(k)))
-    return float(best / len(parts))
+    # imported here: scipy.optimize adds ~11 MB of peak RSS to every
+    # process that imports the package, most of which never score mIoU
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(iou, maximize=True)
+    # summed in row order one float at a time, the order of the
+    # exhaustive-search oracle in the tests
+    return float(sum(iou[rows, cols]) / len(parts))
 
 
 @dataclass

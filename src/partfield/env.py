@@ -3,7 +3,9 @@
 A point agent (position + gripper scalar, no dynamics) must reach the
 centroid of a named part of a posed, procedurally generated object.
 Per-step motion is clipped to 0.02 m per axis.  The scripted expert
-walks a straight line to the target; episodes are its state/chunk pairs.
+walks a straight line to the target; episodes are its state/chunk pairs
+(DEFAULT_HORIZON actions a chunk).  A rollout executes the first
+DEFAULT_EXECUTE actions of each sampled chunk before sampling the next.
 
 Generalization splits mirror pose / instance / category novelty:
 OS = training instances under new poses, OI = unseen instances of seen
@@ -81,8 +83,8 @@ class Episode:
 
 
 def make_task(category: str, part: str, seed: int,
-              pose_ranges: PoseRanges = None, instance_seed: int = None,
-              n_points: int = CLOUD_POINTS) -> Task:
+              pose_ranges: PoseRanges = None,
+              instance_seed: int = None) -> Task:
     """Seeded task: seeded instance geometry + seeded pose + start state.
 
     instance_seed defaults to a value derived from `seed`; passing it
@@ -94,7 +96,7 @@ def make_task(category: str, part: str, seed: int,
     if instance_seed is None:
         instance_seed = derive_seed(seed, "instance", category)
     raw = generate_object(category, instance_seed, RAW_POINTS)
-    cloud = raw.subset(farthest_point_sample(raw, n_points, start=0))
+    cloud = raw.subset(farthest_point_sample(raw, CLOUD_POINTS, start=0))
     rng = rng_from(seed, "task-pose", category, part)
     yaw = float(rng.uniform(-pose_ranges.yaw, pose_ranges.yaw))
     shift = rng.uniform(-pose_ranges.translation, pose_ranges.translation, size=2)
@@ -118,8 +120,8 @@ def step(agent_state, action) -> np.ndarray:
     return out
 
 
-def scripted_expert(task: Task, horizon: int = DEFAULT_HORIZON) -> Episode:
-    """Straight-line expert, chunked into horizon-step blocks.
+def scripted_expert(task: Task) -> Episode:
+    """Straight-line expert, chunked into DEFAULT_HORIZON-step blocks.
 
     Actions after the target is reached are zero padding.  Always
     terminates inside the success radius (asserted).
@@ -136,13 +138,13 @@ def scripted_expert(task: Task, horizon: int = DEFAULT_HORIZON) -> Episode:
         raise InvalidArgumentError(
             f"expert failed to reach target within {task.max_steps} steps "
             f"(final distance {task.distance(state):.4f})")
-    n_chunks = max(1, math.ceil(len(actions) / horizon))
+    n_chunks = max(1, math.ceil(len(actions) / DEFAULT_HORIZON))
     chunks, states = [], []
     replay = task.start_state.copy()
     for c in range(n_chunks):
         states.append(replay.copy())
-        block = actions[c * horizon:(c + 1) * horizon]
-        chunk = np.zeros((horizon, 4))
+        block = actions[c * DEFAULT_HORIZON:(c + 1) * DEFAULT_HORIZON]
+        chunk = np.zeros((DEFAULT_HORIZON, 4))
         for i, a in enumerate(block):
             chunk[i] = a
             replay = step(replay, a)
@@ -173,6 +175,16 @@ class FieldPipeline:
         """Feature dimension of the observations."""
         return D_IN if self.params is None else self.params.n
 
+    @property
+    def field_record(self):
+        """The features' identity, as a policy checkpoint records it:
+        None for the raw baseline, else the field's descriptor k and the
+        sha256 of its weights."""
+        if self.params is None:
+            return None
+        return {"k_neighbors": self.params.k_neighbors,
+                "sha256": self.params.sha256()}
+
     def field_for(self, cloud: PartLabeledCloud) -> FeatureField:
         # keyed on content: the field depends only on the points (plus
         # the params, fixed per pipeline), and an id() can be reused
@@ -189,18 +201,14 @@ class FieldPipeline:
     def part_query(self, category: str, part: str) -> np.ndarray:
         return self.codebooks[category].vector(part)
 
-    def observe(self, task: Task, agent_state,
-                prev_field: FeatureField = None) -> Observation:
+    def observe(self, task: Task, agent_state) -> Observation:
         return Observation(self.field_for(task.cloud), task.cloud.points,
                            np.asarray(agent_state, dtype=np.float64),
-                           self.part_query(task.cloud.category, task.target_part),
-                           prev_field)
+                           self.part_query(task.cloud.category, task.target_part))
 
     def attach_observations(self, episode: Episode) -> Episode:
-        field = self.field_for(episode.task.cloud)
-        episode.observations = [
-            self.observe(episode.task, s, prev_field=field)
-            for s in episode.agent_states]
+        episode.observations = [self.observe(episode.task, s)
+                                for s in episode.agent_states]
         return episode
 
 
@@ -221,21 +229,19 @@ class RolloutResult:
 
 
 def rollout(policy, pipeline: FieldPipeline, task: Task, schedule,
-            mode: str = "ddim_deterministic", seed: int = 0,
-            execute: int = DEFAULT_EXECUTE) -> RolloutResult:
+            mode: str = "ddim_deterministic", seed: int = 0) -> RolloutResult:
     """Alternate chunk sampling and env stepping until success or the
     step budget runs out; success = final distance < success_radius."""
     state = task.start_state.copy()
     traj = [state.copy()]
-    field = pipeline.field_for(task.cloud)
     steps_taken = 0
     chunk_idx = 0
     success = task.distance(state) < task.success_radius
     while not success and steps_taken < task.max_steps:
-        obs = pipeline.observe(task, state, prev_field=field)
+        obs = pipeline.observe(task, state)
         chunk = sample_actions(policy, obs, schedule, mode,
                                seed=derive_seed(seed, "rollout-chunk", chunk_idx))
-        for action in chunk[:execute]:
+        for action in chunk[:DEFAULT_EXECUTE]:
             state = step(state, action)
             traj.append(state.copy())
             steps_taken += 1

@@ -13,6 +13,7 @@ field computes its input descriptors the same way.
 """
 
 import csv
+import hashlib
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -51,6 +52,11 @@ class RefineNetParams:
 
     def n_params(self) -> int:
         return sum(W.size + b.size for W, b in self.weights)
+
+    def sha256(self) -> str:
+        """Hex digest of the weight arrays: names this net in the
+        checkpoint of a policy trained on its features."""
+        return hashlib.sha256(self.flat().tobytes()).hexdigest()
 
 
 @dataclass
@@ -128,9 +134,6 @@ def backward(params: RefineNetParams, desc: np.ndarray, grad_f: np.ndarray):
 class TrainConfig:
     steps: int = 600
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     points_per_part: int = 16
     instances_per_batch: int = 4
     loss: LossConfig = dc_field(default_factory=LossConfig)
@@ -167,8 +170,7 @@ def train_field(clouds, codebooks: dict, config: TrainConfig,
                              config.n_dim, config.seed)
     params.k_neighbors = config.k_neighbors
     tensors = [a for W, b in params.weights for a in (W, b)]
-    opt = Adam([a.shape for a in tensors], config.learning_rate,
-               config.beta1, config.beta2, config.eps)
+    opt = Adam([a.shape for a in tensors], config.learning_rate)
     history = []
     for step in range(config.steps):
         category = categories[step % len(categories)]

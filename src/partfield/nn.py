@@ -44,8 +44,10 @@ def mlp_backward(weights, acts, grad_out):
 
 
 class Adam:
-    def __init__(self, shapes, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    b1, b2, eps = 0.9, 0.999, 1e-8      # the constants of Kingma & Ba 2015
+
+    def __init__(self, shapes, lr=1e-3):
+        self.lr = lr
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
         self.t = 0

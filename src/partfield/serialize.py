@@ -77,7 +77,8 @@ def checked_meta(meta, types: dict) -> dict:
         raise FormatError(f"checkpoint meta is not a JSON object: {meta!r}")
     for key, kind in types.items():
         value = meta.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if key not in meta or not isinstance(value, kind) \
+                or isinstance(value, bool):
             raise FormatError(f"checkpoint meta {key!r} is missing or has "
                               f"the wrong type: {value!r}")
     return meta

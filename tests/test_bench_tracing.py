@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from partfield import diffusion, env
 from partfield.codebook import build_codebooks
 from partfield.field import TrainConfig, train_field
 from partfield.geometry import PART_VOCAB, generate_object
@@ -43,3 +44,16 @@ def test_train_field_calls_each_traced_step_function_every_step():
                  "losses.loss_gradients", "losses.geometric_loss",
                  "losses.semantic_loss", "field.backward", "nn.Adam.step"):
         assert tracer.calls(name) == cfg.steps, name
+
+
+def test_rollout_encodes_each_observation_once_per_chunk():
+    tracing = _load_tracing()
+    task = env.make_task("box_with_lid", "lid", seed=5)
+    pipeline = env.FieldPipeline(env.raw_descriptor_codebooks())
+    policy = diffusion.init_policy(pipeline.dim, cond_dim=8, hidden=16)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        env.rollout(policy, pipeline, task, diffusion.make_schedule(3))
+    chunks = tracer.calls("diffusion.sample_actions")
+    assert chunks > 0
+    assert tracer.calls("diffusion.encode_observation") == chunks

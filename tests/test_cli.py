@@ -96,6 +96,18 @@ def test_flag_overrides_config(tmp_path):
     assert clouds[0].n_points == 96
 
 
+@pytest.mark.parametrize("payload", [
+    {"instances": "abc"}, {"instances": 2.7}, {"instances": None},
+    {"instances": True}, {"seed": 1.0}, {"points": [96]}],
+    ids=["str", "float", "null", "bool", "float_seed", "list"])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, payload):
+    rc = run("gen-data", "--categories", "bottle_with_cap",
+             "--config", json_file(tmp_path, payload), "--out", tmp_path / "x")
+    assert rc == cli.EXIT_USAGE
+    assert repr(next(iter(payload))) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # train-field
 
@@ -196,9 +208,37 @@ def tiny_policy(tmp_path_factory, demo_spec, tiny_field):
     return out
 
 
-def test_train_policy_outputs(tiny_policy):
-    params, schedule = diffusion.load_policy_checkpoint(
+def _train_field_and_policy(out, tiny_data, demo_spec, *field_args):
+    """A tiny field trained with extra flags and a policy trained on it."""
+    rc = run("train-field", "--data", tiny_data, "--out", out / "field",
+             "--config", json_file(out, FIELD_CFG), *field_args)
+    assert rc == 0
+    rc = run("train-policy", "--demos", demo_spec, "--out", out / "policy",
+             "--field-ckpt", out / "field" / "field.ckpt",
+             "--config", json_file(out, POLICY_CFG))
+    assert rc == 0
+    return out / "field" / "field.ckpt", out / "policy" / "policy.ckpt"
+
+
+@pytest.fixture(scope="module")
+def other_seed_field(tmp_path_factory, tiny_data, demo_spec):
+    """Same recipe as tiny_field, another seed: same n_dim and k."""
+    return _train_field_and_policy(tmp_path_factory.mktemp("seed1"),
+                                   tiny_data, demo_spec, "--seed", 1)[0]
+
+
+@pytest.fixture(scope="module")
+def ten_dim_field_and_policy(tmp_path_factory, tiny_data, demo_spec):
+    """A 10-dim field, as wide as the raw descriptors, and its policy."""
+    return _train_field_and_policy(tmp_path_factory.mktemp("dim10"),
+                                   tiny_data, demo_spec, "--n-dim", 10)
+
+
+def test_train_policy_outputs(tiny_policy, tiny_field):
+    params, schedule, trained_on = diffusion.load_policy_checkpoint(
         tiny_policy / "policy.ckpt")
+    field_params = field.load_field_checkpoint(tiny_field / "field.ckpt")
+    assert trained_on == {"k_neighbors": 8, "sha256": field_params.sha256()}
     assert params.horizon == diffusion.DEFAULT_HORIZON
     assert schedule.K == POLICY_CFG["schedule_steps"]
     assert params.action_dim == 4
@@ -275,6 +315,46 @@ def test_rollout_policy_feature_dim_mismatch_is_usage_error(
     assert rc == cli.EXIT_USAGE
 
 
+def test_rollout_on_another_field_is_usage_error(tmp_path, demo_spec,
+                                                 tiny_policy,
+                                                 other_seed_field):
+    rc = _rollout(tmp_path, demo_spec, tiny_policy / "policy.ckpt",
+                  "--field-ckpt", other_seed_field)
+    assert rc == cli.EXIT_USAGE
+    assert not (tmp_path / "rollout.csv").exists()
+
+
+def test_rollout_field_policy_on_raw_descriptors_is_usage_error(
+        tmp_path, demo_spec, ten_dim_field_and_policy):
+    # the feature widths agree (10), the features do not
+    rc = _rollout(tmp_path, demo_spec, ten_dim_field_and_policy[1])
+    assert rc == cli.EXIT_USAGE
+
+
+def test_rollout_field_record_of_another_width_is_data_error(
+        tmp_path, demo_spec, tiny_policy, ten_dim_field_and_policy):
+    # an 8-dim policy whose meta names the 10-dim field
+    ten_dim_field, ten_dim_policy = ten_dim_field_and_policy
+    record = diffusion.load_policy_checkpoint(ten_dim_policy)[2]
+    ckpt = tmp_path / "policy.ckpt"
+    _rewrite_checkpoint(tiny_policy / "policy.ckpt", ckpt,
+                        diffusion.POLICY_MAGIC, _set("field", record))
+    rc = _rollout(tmp_path, demo_spec, ckpt, "--field-ckpt", ten_dim_field)
+    assert rc == cli.EXIT_DATA
+
+
+def test_raw_policy_records_no_field(tmp_path, demo_spec, tiny_field):
+    rc = run("train-policy", "--demos", demo_spec, "--out", tmp_path / "p",
+             "--config", json_file(tmp_path, POLICY_CFG))
+    assert rc == 0
+    ckpt = tmp_path / "p" / "policy.ckpt"
+    assert diffusion.load_policy_checkpoint(ckpt)[2] is None
+    assert _rollout(tmp_path, demo_spec, ckpt, "--splits", "OI") == 0
+    assert _rollout(tmp_path, demo_spec, ckpt, "--splits", "OI",
+                    "--field-ckpt", tiny_field / "field.ckpt") \
+        == cli.EXIT_USAGE
+
+
 def test_rollout_unknown_split_is_usage_error(tmp_path, demo_spec,
                                               tiny_policy, tiny_field):
     rc = _rollout(tmp_path, demo_spec, tiny_policy / "policy.ckpt",
@@ -328,9 +408,11 @@ def test_export_ply_bad_field_checkpoint_is_data_error(tmp_path, tiny_field,
 @pytest.mark.parametrize("edit", [
     _drop("horizon"), _set("feat_dim", 8.0), _drop("gamma"),
     _set("gamma", [0.5, 1.5]), _set("gamma", "linear"), _drop_last_bias,
-    _shrink_first_weight],
+    _shrink_first_weight, _drop("field"), _set("field", "field.ckpt"),
+    _set("field", {"k_neighbors": 8})],
     ids=["no_horizon", "float_feat_dim", "no_gamma", "gamma_1.5",
-         "str_gamma", "no_last_bias", "short_W0"])
+         "str_gamma", "no_last_bias", "short_W0", "no_field", "str_field",
+         "field_without_sha256"])
 def test_rollout_bad_policy_checkpoint_is_data_error(tmp_path, demo_spec,
                                                      tiny_policy, tiny_field,
                                                      edit):

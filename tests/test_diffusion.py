@@ -14,6 +14,7 @@ from partfield.diffusion import (DEFAULT_HORIZON, Observation, PolicyParams,
                                  train_policy)
 from partfield.errors import InvalidArgumentError
 from partfield.field import FeatureField
+from partfield.rng import rng_from
 
 
 def _random_schedules(rng, count=50):
@@ -147,7 +148,7 @@ def _unit_rows(rng, n, d):
 def test_pool_identical_rows():
     f = np.tile([[0.6, 0.8]], (5, 1))
     rng = np.random.default_rng(0)
-    out = pool_with_part_query(FeatureField(f), rng.standard_normal(2))
+    _, out = pool_with_part_query(FeatureField(f), rng.standard_normal(2))
     np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-12)
 
 
@@ -155,7 +156,7 @@ def test_pool_low_temperature_picks_best_row():
     rng = np.random.default_rng(1)
     f = _unit_rows(rng, 20, 8)
     q = f[7]
-    out = pool_with_part_query(FeatureField(f), q, temperature=1e-3)
+    _, out = pool_with_part_query(FeatureField(f), q, temperature=1e-3)
     np.testing.assert_allclose(out, f[7], atol=1e-3)
 
 
@@ -163,16 +164,15 @@ def test_pool_permutation_invariant():
     rng = np.random.default_rng(2)
     f = _unit_rows(rng, 15, 6)
     q = rng.standard_normal(6)
-    a = pool_with_part_query(FeatureField(f), q, 0.5)
-    b = pool_with_part_query(FeatureField(f[rng.permutation(15)]), q, 0.5)
+    _, a = pool_with_part_query(FeatureField(f), q, 0.5)
+    _, b = pool_with_part_query(FeatureField(f[rng.permutation(15)]), q, 0.5)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_pool_weights_are_convex():
     rng = np.random.default_rng(3)
     f = _unit_rows(rng, 10, 4)
-    w, out = pool_with_part_query(FeatureField(f), rng.standard_normal(4),
-                                  0.3, return_weights=True)
+    w, out = pool_with_part_query(FeatureField(f), rng.standard_normal(4), 0.3)
     assert w.shape == (10,)
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) < 1e-12
@@ -197,21 +197,21 @@ def test_encode_observation_layout():
     rng = np.random.default_rng(4)
     obs = _toy_observation(rng, dim=6)
     enc = encode_observation(obs, temperature=0.1)
-    # pooled current + previous + anchor + anchor-agent offset + state
+    # pooled feature twice + anchor + anchor-agent offset + state
     assert enc.shape == (6 + 6 + 3 + 3 + 4,)
     np.testing.assert_allclose(enc[12:15] - obs.agent_state[:3], enc[15:18],
                                atol=1e-15)
-    # without prev_field the current field stands in for the history
-    np.testing.assert_allclose(enc[:6], enc[6:12], atol=1e-15)
+    # the scene is static: one pooled feature fills both history slots
+    np.testing.assert_array_equal(enc[:6], enc[6:12])
     np.testing.assert_allclose(enc[-4:], obs.agent_state, atol=1e-15)
 
 
 def test_timestep_embedding():
-    e1 = timestep_embedding(3, 16)
-    e2 = timestep_embedding(3, 16)
+    e1 = timestep_embedding(3)
+    e2 = timestep_embedding(3)
     np.testing.assert_array_equal(e1, e2)
-    assert e1.shape == (16,)
-    assert not np.allclose(e1, timestep_embedding(4, 16))
+    assert e1.shape == (diffusion.T_EMBED_DIM,) == (16,)
+    assert not np.allclose(e1, timestep_embedding(4))
     assert np.all(np.abs(e1) <= 1.0 + 1e-12)
 
 
@@ -236,8 +236,10 @@ def test_policy_checkpoint_roundtrip(tmp_path):
     params = init_policy(feat_dim=6, horizon=4, cond_dim=8, hidden=16, seed=3)
     schedule = make_schedule(7, "cosine", 3e-4, 0.05)
     path = tmp_path / "p.ckpt"
-    save_policy_checkpoint(path, params, schedule)
-    back, back_schedule = load_policy_checkpoint(path)
+    record = {"k_neighbors": 8, "sha256": "0" * 64}
+    save_policy_checkpoint(path, params, schedule, record)
+    back, back_schedule, back_record = load_policy_checkpoint(path)
+    assert back_record == record
     for name in ("beta", "gamma", "beta_bar"):
         np.testing.assert_array_equal(getattr(back_schedule, name),
                                       getattr(schedule, name))
@@ -291,16 +293,39 @@ def test_train_policy_deterministic():
 def test_sample_actions_denoiser_call_count(monkeypatch):
     episode, _, schedule = _overfit_setup()
     params = init_policy(feat_dim=6, horizon=4, cond_dim=8, hidden=16, seed=0)
-    calls = {"n": 0}
-    real = diffusion.policy_forward
+    calls = {"encode_observation": 0, "_denoise": 0}
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(diffusion, name)
 
-    monkeypatch.setattr(diffusion, "policy_forward", counting)
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(diffusion, name, counting)
+
+    counted("encode_observation")
+    counted("_denoise")
     sample_actions(params, episode.steps[0][0], schedule, seed=0)
-    assert calls["n"] == schedule.K
+    # the conditioning is fixed for the chunk; only the denoiser runs per step
+    assert calls == {"encode_observation": 1, "_denoise": schedule.K}
+
+
+@pytest.mark.parametrize("mode", ["ddim_deterministic", "ddpm_posterior"])
+def test_sample_actions_is_the_policy_forward_chain(mode):
+    episode, _, schedule = _overfit_setup()
+    params = init_policy(feat_dim=6, horizon=4, cond_dim=8, hidden=16, seed=2)
+    obs = episode.steps[0][0]
+    rng = rng_from(7, "sample-actions")
+    a = rng.standard_normal((params.horizon, params.action_dim))
+    for k in range(schedule.K, 0, -1):
+        a0_pred = policy_forward(params, obs, a, k)
+        if mode == "ddpm_posterior" and k > 1:
+            tau, v = ddpm_tau(k, schedule), rng.standard_normal(a.shape)
+        else:
+            tau, v = 0.0, 0.0
+        a = ddim_step(a, a0_pred, k, schedule, tau, v)
+    np.testing.assert_array_equal(
+        sample_actions(params, obs, schedule, mode=mode, seed=7), a)
 
 
 def test_sample_actions_ddim_deterministic():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -133,9 +135,39 @@ def test_match_miou_relabel_invariance():
     assert match_miou(pred, gt) == pytest.approx(match_miou(relabeled, gt))
 
 
-def test_match_miou_rejects_oversize():
-    with pytest.raises(InvalidArgumentError):
-        match_miou(np.arange(9), np.zeros(9, dtype=int))
+def _match_miou_oracle(pred, gt):
+    """Exhaustive search: every injective cluster-to-part assignment of
+    the zero-padded square IoU matrix, summed in row order."""
+    clusters, parts = np.unique(pred), np.unique(gt)
+    k = max(len(clusters), len(parts))
+    iou = np.zeros((k, k))
+    for a, c in enumerate(clusters):
+        for b, p in enumerate(parts):
+            inter = np.sum((pred == c) & (gt == p))
+            iou[a, b] = inter / np.sum((pred == c) | (gt == p))
+    best = max(sum(iou[i, perm[i]] for i in range(k))
+               for perm in itertools.permutations(range(k)))
+    return float(best / len(parts))
+
+
+def test_match_miou_equals_exhaustive_search():
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        pred = rng.integers(0, rng.integers(1, 8), n)
+        gt = rng.integers(0, rng.integers(1, 8), n)
+        # when optimal assignments tie, the search keeps the largest of
+        # their rounded sums, which may differ from the Hungarian one's
+        # in the last bits
+        assert match_miou(pred, gt) == pytest.approx(
+            _match_miou_oracle(pred, gt), rel=0, abs=1e-15)
+
+
+def test_match_miou_nine_clusters():
+    gt = np.repeat(np.arange(9), 3)
+    assert match_miou((4 * gt + 1) % 9, gt) == 1.0
+    # 27 singleton clusters: each part keeps one of its three points
+    assert match_miou(np.arange(27), gt) == pytest.approx(1.0 / 3.0)
 
 
 def test_nn_correspondence_and_accuracy():

@@ -72,7 +72,7 @@ def test_adam_single_step_reference():
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
     theta = np.array([1.0, -2.0])
     g = np.array([0.5, -0.25])
-    opt = Adam([theta.shape], lr, b1, b2, eps)
+    opt = Adam([theta.shape], lr)
     opt.step([theta], [g])
     m = (1 - b1) * g
     v = (1 - b2) * g ** 2

@@ -168,10 +168,13 @@ def encode_observation(obs: Observation, temperature: float) -> np.ndarray:
     return np.concatenate([pooled, pooled, anchor, anchor - state[:3], state])
 
 
+# the embedding's sinusoid frequencies, geometric from 1 down to 1/1000
+_T_FREQS = np.exp(-np.log(1000.0) * np.arange(T_EMBED_DIM // 2)
+                  / max(T_EMBED_DIM // 2 - 1, 1))
+
+
 def timestep_embedding(k: int) -> np.ndarray:
-    half = T_EMBED_DIM // 2
-    freqs = np.exp(-np.log(1000.0) * np.arange(half) / max(half - 1, 1))
-    ang = k * freqs
+    ang = k * _T_FREQS
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
@@ -311,6 +314,7 @@ def train_policy(episodes, schedule: NoiseSchedule,
     tensors = params.tensors()
     opt = Adam([a.shape for a in tensors], config.learning_rate)
     rng = rng_from(config.seed, "policy-train")
+    k_table = np.stack([timestep_embedding(k) for k in range(schedule.K + 1)])
     history = []
     for step in range(config.steps):
         idx = rng.integers(0, len(pairs), size=config.batch_size)
@@ -319,8 +323,7 @@ def train_policy(episodes, schedule: NoiseSchedule,
         eps = rng.standard_normal(a0.shape)
         bb = schedule.beta_bar[ks][:, None]
         noisy = np.sqrt(bb) * a0 + np.sqrt(1.0 - bb) * eps
-        k_emb = np.stack([timestep_embedding(int(k)) for k in ks])
-        pred, caches = _policy_apply(params, enc[idx], noisy, k_emb)
+        pred, caches = _policy_apply(params, enc[idx], noisy, k_table[ks])
         diff = pred - a0
         loss = float(np.mean(diff ** 2))
         if not np.isfinite(loss):

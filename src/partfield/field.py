@@ -21,7 +21,7 @@ import numpy as np
 from .descriptors import D_IN, DEFAULT_K_NEIGHBORS, extract_descriptors
 from .errors import FormatError, InvalidArgumentError, NumericalError
 from .losses import (LabeledFeatureBatch, LossConfig, loss_gradients,
-                     sample_batch_indices)
+                     part_pools, sample_batch_indices)
 from .nn import Adam, mlp_backward, mlp_forward
 from .rng import rng_from
 from .serialize import checked_meta, load_arrays, mlp_layers, save_arrays
@@ -171,14 +171,17 @@ def train_field(clouds, codebooks: dict, config: TrainConfig,
     params.k_neighbors = config.k_neighbors
     tensors = [a for W, b in params.weights for a in (W, b)]
     opt = Adam([a.shape for a in tensors], config.learning_rate)
+    pools = {cat: part_pools(clouds, cat) for cat in categories}
     history = []
     for step in range(config.steps):
         category = categories[step % len(categories)]
-        idx = sample_batch_indices(clouds, category, config.points_per_part,
+        idx = sample_batch_indices(pools[category], config.points_per_part,
                                    config.instances_per_batch,
                                    config.seed, tags=("step", step))
-        desc = np.stack([descriptors[c][p] for c, p in
-                         zip(idx.cloud_indices, idx.point_indices)])
+        desc = np.empty((len(idx.labels), descriptors[0].shape[1]))
+        for c in np.unique(idx.cloud_indices):
+            rows = idx.cloud_indices == c
+            desc[rows] = descriptors[c][idx.point_indices[rows]]
         ff = forward(params, desc)
         if not np.all(np.isfinite(ff.values)):
             raise _diverged(f"non-finite features at step {step}", step, params)

@@ -77,28 +77,30 @@ def geometric_loss(batch: LabeledFeatureBatch,
     n = len(features)
     if n < 2:
         return 0.0, np.zeros_like(features)
-    scores = (features @ features.T) / tau
-    off_diag = ~np.eye(n, dtype=bool)
-    pos = (labels[:, None] == labels[None, :]) & off_diag
+    # one GEMM (features @ features.T would run SYRK plus a strided
+    # triangle copy); softmax over k != i: exp gives the -inf diagonal 0
+    scores = (features / tau) @ features.T
+    np.fill_diagonal(scores, -np.inf)
+    pos = labels[:, None] == labels[None, :]
+    np.fill_diagonal(pos, False)
     n_pos = pos.sum(axis=1)
     anchors = n_pos > 0
     if not np.any(anchors):
         log.warning("geometric_loss: every anchor is a singleton; returning 0")
         return 0.0, np.zeros_like(features)
-    # softmax over k != i: push the diagonal to -inf before the max trick
-    masked = np.where(off_diag, scores, -np.inf)
-    m = masked.max(axis=1)
-    logz = m + np.log(np.exp(masked - m[:, None]).sum(axis=1))
-    per_anchor = np.where(
-        anchors,
-        -(np.where(pos, scores - logz[:, None], 0.0).sum(axis=1))
-        / np.maximum(n_pos, 1),
-        0.0,
-    )
-    q = np.exp(masked - logz[:, None])
+    m = scores.max(axis=1)
+    w = scores - m[:, None]
+    np.exp(w, out=w)
+    z = w.sum(axis=1)
+    logz = m + np.log(z)
+    # anchor i adds (n_pos logz - sum of its positive scores) / n_pos
+    pos_sum = scores.sum(axis=1, where=pos)
+    per_anchor = (n_pos * logz - pos_sum)[anchors] / n_pos[anchors]
     # dL/dS_ij for i != j: softmax weight minus the positive-average weight
-    w = np.where(anchors[:, None], q - pos / np.maximum(n_pos, 1)[:, None], 0.0)
-    return float(per_anchor.sum()), (w @ features + w.T @ features) / tau
+    w /= z[:, None]
+    np.subtract(w, 1.0 / np.maximum(n_pos, 1)[:, None], out=w, where=pos)
+    w[~anchors] = 0.0
+    return float(per_anchor.sum()), ((w + w.T) @ features) / tau
 
 
 def semantic_loss(batch: LabeledFeatureBatch, codebook: PartNameCodebook,
@@ -154,36 +156,62 @@ class BatchIndex:
     category: str = ""
 
 
-def sample_batch_indices(clouds, category: str, points_per_part: int,
-                         instances_per_batch: int, seed: int,
-                         tags=()) -> BatchIndex:
-    """Balanced sampling: from each selected instance of `category`, up
-    to points_per_part points per part name.  Parts absent from an
-    instance contribute nothing (logged at debug level)."""
+@dataclass
+class PartPools:
+    """Where each part lies in each cloud of one category, found once per
+    dataset so that drawing a batch does not rescan it.
+
+    points[j][label] holds the point indices of part `label` (index into
+    the name-sorted vocabulary of the category's first cloud) in cloud
+    cloud_indices[j]; a part absent from that cloud has none.
+    """
+
+    category: str
+    cloud_indices: list
+    points: list
+
+
+def part_pools(clouds, category: str) -> PartPools:
+    """The per-cloud, per-part point indices of every `category` cloud
+    of the dataset.  Absent parts are logged at debug level."""
     pool = [i for i, c in enumerate(clouds) if c.category == category]
-    if len(pool) < instances_per_batch:
-        raise InvalidArgumentError(
-            f"dataset holds {len(pool)} clouds of {category!r}, "
-            f"need {instances_per_batch}")
-    rng = rng_from(seed, "batch", category, *tags)
-    chosen = rng.choice(len(pool), size=instances_per_batch, replace=False)
-    sorted_names = sorted(clouds[pool[0]].part_names)
-    ci, pi, lab = [], [], []
-    for j in chosen:
-        cloud = clouds[pool[j]]
-        name_of = {k: name for k, name in enumerate(cloud.part_names)}
-        for li, name in enumerate(sorted_names):
-            raw = [k for k in range(len(cloud.part_names)) if name_of[k] == name]
-            mask = np.isin(cloud.labels, raw)
-            idx = np.flatnonzero(mask)
+    sorted_names = sorted(clouds[pool[0]].part_names) if pool else []
+    points = []
+    for i in pool:
+        cloud = clouds[i]
+        by_part = []
+        for name in sorted_names:
+            raw = [k for k, n in enumerate(cloud.part_names) if n == name]
+            idx = np.flatnonzero(np.isin(cloud.labels, raw))
             if idx.size == 0:
                 log.debug("part %r absent from cloud seed=%d", name, cloud.seed)
+            by_part.append(idx)
+        points.append(by_part)
+    return PartPools(category, pool, points)
+
+
+def sample_batch_indices(pools: PartPools, points_per_part: int,
+                         instances_per_batch: int, seed: int,
+                         tags=()) -> BatchIndex:
+    """Balanced sampling: from each selected instance of the pools'
+    category, up to points_per_part points per part name.  Parts absent
+    from an instance contribute nothing."""
+    if len(pools.cloud_indices) < instances_per_batch:
+        raise InvalidArgumentError(
+            f"dataset holds {len(pools.cloud_indices)} clouds of "
+            f"{pools.category!r}, need {instances_per_batch}")
+    rng = rng_from(seed, "batch", pools.category, *tags)
+    chosen = rng.choice(len(pools.cloud_indices), size=instances_per_batch,
+                        replace=False)
+    ci, pi, lab = [], [], []
+    for j in chosen:
+        for li, idx in enumerate(pools.points[j]):
+            if idx.size == 0:
                 continue
             take = min(points_per_part, idx.size)
             picked = rng.choice(idx, size=take, replace=False)
-            ci.extend([pool[j]] * take)
+            ci.extend([pools.cloud_indices[j]] * take)
             pi.extend(picked.tolist())
             lab.extend([li] * take)
     return BatchIndex(np.array(ci, dtype=np.int64), np.array(pi, dtype=np.int64),
-                      np.array(lab, dtype=np.int64), category)
-
+                      np.array(lab, dtype=np.int64), pools.category)

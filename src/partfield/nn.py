@@ -6,7 +6,17 @@ import numpy as np
 
 
 def softplus(x):
-    return np.logaddexp(0.0, x)
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), the branch
+    `np.logaddexp(0, x)` takes, with in-place ufuncs on the output; x is
+    left unchanged.  The max term is one temporary: adding x under a
+    `where=x > 0` mask instead skips it but runs numpy's unvectorised
+    masked loop, which costs more than the exp and log1p together."""
+    out = np.abs(x)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def sigmoid(x):

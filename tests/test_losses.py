@@ -6,7 +6,7 @@ import pytest
 from partfield.codebook import build_codebook
 from partfield.errors import InvalidArgumentError
 from partfield.losses import (LabeledFeatureBatch, LossConfig,
-                              geometric_loss, loss_gradients,
+                              geometric_loss, loss_gradients, part_pools,
                               sample_batch_indices, semantic_loss)
 from partfield.geometry import generate_object
 
@@ -30,6 +30,13 @@ def _geo_oracle(features, labels, tau):
             total += -math.log(math.exp(features[i] @ features[j] / tau)
                                / denom) / len(pos)
     return total
+
+
+def _softmax_weight(features, i, k, tau):
+    """softmax over j != i of f_i . f_j / tau, at j = k."""
+    denom = sum(math.exp(features[i] @ features[j] / tau)
+                for j in range(len(features)) if j != i)
+    return math.exp(features[i] @ features[k] / tau) / denom
 
 
 def _sem_oracle(features, labels, vectors, tau):
@@ -108,6 +115,32 @@ def test_geometric_grad_matches_fd():
         assert abs(grad[i, j] - (lp - lm) / (2 * h)) < 1e-5
 
 
+@pytest.mark.parametrize("tau", [0.01, 1.0])
+def test_geometric_loss_with_singleton_anchors(tau):
+    rng = np.random.default_rng(10)
+    f = _unit_rows(rng, 9, 5)
+    labels = np.array([0, 3, 0, 1, 1, 4, 1, 2, 0])   # 2, 3, 4 are singletons
+    loss, grad = geometric_loss(LabeledFeatureBatch(f, labels), tau)
+    oracle = _geo_oracle(f, labels, tau)
+    assert abs(loss - oracle) <= 1e-12 * max(1.0, abs(oracle))
+    h = 1e-6
+    for i in range(len(f)):
+        for j in range(f.shape[1]):
+            fp, fm = f.copy(), f.copy()
+            fp[i, j] += h
+            fm[i, j] -= h
+            fd = (_geo_oracle(fp, labels, tau) - _geo_oracle(fm, labels, tau)) / (2 * h)
+            assert abs(grad[i, j] - fd) <= 1e-5 * max(1.0, abs(fd))
+    # a singleton's own row of dL/dS is zero: it reaches the loss only
+    # through the softmax denominators of the anchors that have positives
+    anchors = [i for i in range(len(f)) if np.sum(labels == labels[i]) > 1]
+    for s in range(len(f)):
+        if s in anchors:
+            continue
+        expected = sum(_softmax_weight(f, i, s, tau) * f[i] for i in anchors) / tau
+        np.testing.assert_allclose(grad[s], expected, rtol=1e-12, atol=1e-12)
+
+
 def test_semantic_grad_matches_fd():
     rng = np.random.default_rng(6)
     cb = build_codebook(["a", "b"], 5, 0)
@@ -174,8 +207,9 @@ def test_batch_validation():
 
 def test_sample_batch_indices_balanced_and_deterministic():
     clouds = [generate_object("pot_with_handle", i, 400) for i in range(6)]
-    idx = sample_batch_indices(clouds, "pot_with_handle", 8, 3, seed=0)
-    idx2 = sample_batch_indices(clouds, "pot_with_handle", 8, 3, seed=0)
+    pools = part_pools(clouds, "pot_with_handle")
+    idx = sample_batch_indices(pools, 8, 3, seed=0)
+    idx2 = sample_batch_indices(pools, 8, 3, seed=0)
     np.testing.assert_array_equal(idx.point_indices, idx2.point_indices)
     np.testing.assert_array_equal(idx.cloud_indices, idx2.cloud_indices)
     # 3 instances x 3 parts x 8 points, all parts populated at N=400
@@ -188,5 +222,6 @@ def test_sample_batch_indices_balanced_and_deterministic():
 def test_sample_batch_indices_rejects_small_pool():
     clouds = [generate_object("pot_with_handle", i, 100) for i in range(2)]
     with pytest.raises(InvalidArgumentError):
-        sample_batch_indices(clouds, "pot_with_handle", 8, 3, seed=0)
+        sample_batch_indices(part_pools(clouds, "pot_with_handle"), 8, 3,
+                             seed=0)
 

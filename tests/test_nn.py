@@ -12,6 +12,34 @@ def test_softplus_values_and_stability():
     assert big[1] >= 0.0
 
 
+def _assert_matches_logaddexp(x):
+    np.testing.assert_allclose(softplus(x), np.logaddexp(0.0, x),
+                               rtol=2e-15, atol=1e-15)
+
+
+def test_softplus_matches_logaddexp_on_extremes():
+    grid = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0,
+                     800.0, -800.0, np.inf, -np.inf])
+    _assert_matches_logaddexp(grid)
+
+
+def test_softplus_matches_logaddexp_on_blocks():
+    rng = np.random.default_rng(9)
+    for shape in ((1, 128), (1024, 128)):
+        _assert_matches_logaddexp(rng.standard_normal(shape) * 8.0)
+
+
+def test_softplus_keeps_nan_input_shape_and_dtype():
+    x = np.array([[np.nan, -2.0, 0.0], [3.0, np.nan, -np.inf]])
+    before = x.copy()
+    y = softplus(x)
+    assert y.shape == x.shape and y.dtype == x.dtype
+    np.testing.assert_array_equal(np.isnan(y), np.isnan(x))
+    np.testing.assert_array_equal(x, before)   # NaNs compare equal here
+    x32 = np.linspace(-5.0, 5.0, 7, dtype=np.float32)
+    assert softplus(x32).dtype == np.float32
+
+
 def test_sigmoid_is_softplus_derivative():
     x = np.linspace(-5, 5, 41)
     h = 1e-6
